@@ -10,7 +10,9 @@ quoting.
 Exit status: 0 on success, 1 when validation fails, 2 on usage errors
 (including bad words, malformed machine files and malformed recipes).
 Structured output is one JSON record per line with a fixed key order, so
-parsing a record and re-emitting it is byte-identical.
+parsing a record and re-emitting it is byte-identical.  A float that is not
+finite (a probability or deviation overflowed by a machine far from
+unitary) is written as null, so every record is strict JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import click
@@ -27,7 +30,7 @@ from .chem import Recipe, parse_recipe, signature, transcribe
 from .core import DEFAULT_HALT_THRESHOLD, RunResult, run
 from .errors import AlphabetError, RecipeError, SpecFormatError
 from .machine import TwoWayQfaSpec, validate
-from .machines import build_m1, build_m2, build_m3, qft_matrix
+from .machines import BUILT_IN, build, qft_matrix
 from .specfile import load_spec, save_spec
 
 _FORMATS = click.Choice(["human", "structured", "csv"])
@@ -35,22 +38,16 @@ _REPORT_FORMATS = click.Choice(["human", "structured"])
 
 
 def _load_machine(machine: str, n_paths: int | None) -> TwoWayQfaSpec:
-    if machine == "m1":
-        if n_paths is not None:
-            raise click.UsageError("--n-paths is not allowed for machine m1")
-        return build_m1()
-    if machine in ("m2", "m3"):
-        if n_paths is None:
-            raise click.UsageError(f"--n-paths is required for machine {machine}")
-        builder = build_m2 if machine == "m2" else build_m3
+    if machine in BUILT_IN:
         try:
-            return builder(n_paths)
+            return build(machine, n_paths)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
     path = Path(machine)
     if not path.is_file():
         raise click.UsageError(
-            f"machine {machine!r} is neither a built-in name (m1, m2, m3) nor a file"
+            f"machine {machine!r} is neither a built-in name "
+            f"({', '.join(BUILT_IN)}) nor a file"
         )
     if n_paths is not None:
         raise click.UsageError("--n-paths is not allowed with a machine file")
@@ -77,6 +74,21 @@ def _run_record(spec: TwoWayQfaSpec, word: str, result: RunResult) -> dict:
         "steps": result.steps,
         "halted": result.halted,
     }
+
+
+def _finite(value):
+    """`value` with every float that is not finite replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite(item) for item in value]
+    return value
+
+
+def _emit_json(record: dict) -> None:
+    click.echo(json.dumps(_finite(record), allow_nan=False))
 
 
 def _emit_csv(record: dict) -> str:
@@ -136,7 +148,7 @@ def validate_cmd(ctx, machine, n_paths, fmt, export_path) -> None:
             "separability2_max_deviation": report.separability2_max_deviation,
             "padded_entries": [list(entry) for entry in report.padded_entries],
         }
-        click.echo(json.dumps(record))
+        _emit_json(record)
     else:
         click.echo(f"machine {spec.name or 'custom'} (N={spec.n_paths}, "
                    f"{len(spec.states)} states)")
@@ -205,7 +217,7 @@ def run_cmd(machine, n_paths, word, recipe_path, fmt, max_steps, halt_threshold,
         record["descriptor"] = sig.descriptor
 
     if fmt == "structured":
-        click.echo(json.dumps(record))
+        _emit_json(record)
     elif fmt == "csv":
         click.echo(_emit_csv(record), nl=False)
     else:
@@ -242,7 +254,7 @@ def sweep_cmd(machine, n_paths, lang, max_len, fmt) -> None:
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if fmt == "structured":
-        click.echo(json.dumps(report.to_json_obj()))
+        _emit_json(report.to_json_obj())
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -292,7 +304,7 @@ def transcribe_cmd(recipe_path, fmt) -> None:
             "aliquots": len(recipe.aliquots),
             "word": word,
         }
-        click.echo(json.dumps(record))
+        _emit_json(record)
     else:
         click.echo(f"system {recipe.system.value}: {len(recipe.aliquots)} aliquots "
                    f"-> word {word!r}")
@@ -313,7 +325,7 @@ def qft_cmd(n_paths, fmt) -> None:
                 [[value.real, value.imag] for value in row] for row in matrix
             ],
         }
-        click.echo(json.dumps(record))
+        _emit_json(record)
     else:
         click.echo(f"Fourier acceptance matrix for N={n_paths}:")
         for row in matrix:

@@ -10,6 +10,7 @@ renormalising the remainder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,10 @@ class RunResult:
     """Accumulated outcome of a run.
 
     p_residual is the probability mass still unhalted when the run stopped;
-    halted is False only when the step budget ran out first.  trace, when
-    requested, holds one (p_accept, p_reject, p_residual) triple per step.
+    halted is False when the step budget ran out first or the residual
+    stopped being a finite number (an overflowing non-unitary machine).
+    trace, when requested, holds one (p_accept, p_reject, p_residual) triple
+    per step.
     """
 
     p_accept: float
@@ -74,7 +77,7 @@ class AmplitudeVector:
         return out
 
     def norm_squared(self) -> float:
-        return float((self.data.real**2 + self.data.imag**2).sum())
+        return _norm_squared(self.data)
 
     def copy(self) -> "AmplitudeVector":
         return AmplitudeVector(self.spec, self.tape_length, self.data.copy())
@@ -96,29 +99,36 @@ def initial_vector(spec: TwoWayQfaSpec, word: str) -> AmplitudeVector:
 
 
 class _Evolution:
-    """One-step evolution operator for a fixed machine and word."""
+    """One-step evolution operator for a fixed machine and word.
+
+    Only the live block is touched: the rows (states) and columns (head
+    positions) that carry any amplitude.  Each live column is multiplied by
+    the matrix of the symbol under it, restricted to the live rows, and
+    entry (t, col) of the product lands at (t, col + move[t]) on the
+    circular tape.  For a fixed target row that shift is one constant, so
+    distinct columns land in distinct cells and one assignment suffices.
+    """
 
     def __init__(self, spec: TwoWayQfaSpec, word: str):
-        tape = tape_for(word)
-        length = len(tape)
-        self.blocks = []
-        for symbol in spec.tape_alphabet:
-            mask = np.fromiter((1.0 if t == symbol else 0.0 for t in tape), dtype=float)
-            if mask.any():
-                self.blocks.append((spec.symbol_unitaries[symbol], mask[np.newaxis, :]))
-        moves = np.array([spec.head_fn[s] for s in spec.states])
-        self.stay = (moves == 0)[:, np.newaxis]
-        self.fwd = (moves == 1)[:, np.newaxis]
-        self.back = (moves == -1)[:, np.newaxis]
+        index = {symbol: i for i, symbol in enumerate(spec.tape_alphabet)}
+        self.symbols = np.array([index[t] for t in tape_for(word)])
+        self.matrices = [spec.symbol_unitaries[s] for s in spec.tape_alphabet]
+        self.moves = np.array([spec.head_fn[s] for s in spec.states])[:, np.newaxis]
+        self.targets = np.arange(len(spec.states))[:, np.newaxis]
 
     def apply(self, data: np.ndarray) -> np.ndarray:
-        mixed = np.zeros_like(data)
-        for matrix, mask in self.blocks:
-            mixed += (matrix @ data) * mask
-        out = np.where(self.stay, mixed, 0)
-        # a roll by +1 sends column j to column j+1 mod tape length
-        out += np.roll(np.where(self.fwd, mixed, 0), 1, axis=1)
-        out += np.roll(np.where(self.back, mixed, 0), -1, axis=1)
+        rows = np.flatnonzero(data.any(axis=1))
+        live = data[rows]
+        cols = np.flatnonzero(live.any(axis=0))
+        block = live[:, cols]
+        symbols = self.symbols[cols]
+        mixed = np.empty((data.shape[0], cols.size), dtype=data.dtype)
+        # np.unique here would cost about as much as the products at N <= 10
+        for symbol in set(symbols.tolist()):
+            held = symbols == symbol
+            mixed[:, held] = self.matrices[symbol][:, rows] @ block[:, held]
+        out = np.zeros_like(data)
+        out[self.targets, (cols + self.moves) % data.shape[1]] = mixed
         return out
 
 
@@ -130,11 +140,14 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
     return AmplitudeVector(spec, vector.tape_length, evolution.apply(vector.data))
 
 
+def _norm_squared(data: np.ndarray) -> float:
+    return float(np.vdot(data, data).real)
+
+
 def _mass(data: np.ndarray, rows: np.ndarray) -> float:
     if rows.size == 0:
         return 0.0
-    block = data[rows]
-    return float((block.real**2 + block.imag**2).sum())
+    return _norm_squared(data[rows])
 
 
 def measure(
@@ -165,7 +178,8 @@ def run(
 
     Stops once the residual drops below halt_threshold or, failing that,
     after max_steps (default 64 * n_paths * (n + 2)); exhausting the budget
-    is reported via halted=False, not raised.
+    is reported via halted=False, not raised.  A residual that overflows to
+    a non-finite value also ends the run with halted=False.
     """
     if max_steps is None:
         max_steps = MAX_STEPS_FACTOR * spec.n_paths * (len(word) + 2)
@@ -194,11 +208,13 @@ def run(
         p_reject += _mass(data, reject_rows)
         if halting_rows.size:
             data[halting_rows] = 0
-        residual_mass = float((data.real**2 + data.imag**2).sum())
+        residual_mass = _norm_squared(data)
         if trace:
             records.append((p_accept, p_reject, residual_mass))
         if residual_mass < halt_threshold:
             halted = True
+            break
+        if not math.isfinite(residual_mass):
             break
 
     return RunResult(

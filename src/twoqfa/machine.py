@@ -14,6 +14,7 @@ well-formedness conditions numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,8 @@ class TwoWayQfaSpec:
                 raise ValueError(f"matrix for {symbol!r} is not {n}x{n}")
             if matrix.dtype != np.complex128:
                 self.symbol_unitaries[symbol] = matrix.astype(np.complex128)
+            if not np.isfinite(self.symbol_unitaries[symbol]).all():
+                raise ValueError(f"matrix for {symbol!r} has a non-finite entry")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         self._state_index = {state: i for i, state in enumerate(self.states)}
@@ -167,6 +170,17 @@ def _masked(spec: TwoWayQfaSpec, symbol: str, direction: int) -> np.ndarray:
     return out
 
 
+def _worse(deviation: float, residual: np.ndarray) -> float:
+    """The larger of `deviation` and the largest entry of |residual|.
+
+    Entries of a finite machine far from unitary can overflow; the NaN an
+    overflow leaves (inf - inf) counts as an infinite deviation, where
+    Python's max would drop it.
+    """
+    worst = float(np.abs(residual).max())
+    return max(deviation, math.inf if math.isnan(worst) else worst)
+
+
 def validate(spec: TwoWayQfaSpec, tolerance: float = DEFAULT_TOLERANCE) -> WellFormednessReport:
     """Check per-symbol unitarity and the three local well-formedness conditions.
 
@@ -180,8 +194,7 @@ def validate(spec: TwoWayQfaSpec, tolerance: float = DEFAULT_TOLERANCE) -> WellF
     unitarity_dev = 0.0
     for symbol in spec.tape_alphabet:
         matrix = spec.symbol_unitaries[symbol]
-        dev = np.abs(matrix.conj().T @ matrix - identity).max()
-        unitarity_dev = max(unitarity_dev, float(dev))
+        unitarity_dev = _worse(unitarity_dev, matrix.conj().T @ matrix - identity)
 
     # condition (i): summing conj(delta(q1,s,q',d)) * delta(q2,s,q',d) over
     # all (q', d) must give the identity on (q1, q2) for every symbol
@@ -191,7 +204,7 @@ def validate(spec: TwoWayQfaSpec, tolerance: float = DEFAULT_TOLERANCE) -> WellF
         for d in _DIRECTIONS:
             masked = _masked(spec, symbol, d)
             gram += masked.conj().T @ masked
-        local_dev = max(local_dev, float(np.abs(gram - identity).max()))
+        local_dev = _worse(local_dev, gram - identity)
 
     # conditions (ii) and (iii) quantify over ordered pairs of (state, symbol)
     sep1_dev = 0.0
@@ -203,8 +216,8 @@ def validate(spec: TwoWayQfaSpec, tolerance: float = DEFAULT_TOLERANCE) -> WellF
         for s2 in spec.tape_alphabet:
             cross1 = fwd[s1].conj().T @ stay[s2] + stay[s1].conj().T @ back[s2]
             cross2 = fwd[s1].conj().T @ back[s2]
-            sep1_dev = max(sep1_dev, float(np.abs(cross1).max()))
-            sep2_dev = max(sep2_dev, float(np.abs(cross2).max()))
+            sep1_dev = _worse(sep1_dev, cross1)
+            sep2_dev = _worse(sep2_dev, cross2)
 
     return WellFormednessReport(
         unitarity_ok=unitarity_dev < tolerance,

@@ -251,6 +251,9 @@ def build_m3(n_paths: int) -> TwoWayQfaSpec:
 
 _BUILDERS = {"m1": build_m1, "m2": build_m2, "m3": build_m3}
 
+#: names `build` accepts
+BUILT_IN = tuple(_BUILDERS)
+
 
 def build(name: str, n_paths: int | None = None) -> TwoWayQfaSpec:
     """Build a bundled machine by name; m2 and m3 require n_paths."""

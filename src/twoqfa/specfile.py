@@ -100,8 +100,10 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
         if directive == "name":
             name = _one(args, "name")
         elif directive == "paths":
-            n_paths = int(_one(args, "paths"))
+            n_paths = _number(int, _one(args, "paths"), line)
         elif directive == "states":
+            if states is not None:
+                raise SpecFormatError("states line appears twice")
             states = tuple(args)
             index = {s: i for i, s in enumerate(states)}
         elif directive == "initial":
@@ -137,7 +139,7 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             if source not in index or target not in index:
                 raise SpecFormatError(f"row references unknown state: {line!r}")
             matrices[current][index[target], index[source]] = complex(
-                float(real), float(imag)
+                _number(float, real, line), _number(float, imag, line)
             )
         else:
             raise SpecFormatError(f"unknown directive {directive!r}")
@@ -164,6 +166,13 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
 def load_spec(path: str) -> TwoWayQfaSpec:
     with open(path, "r", encoding="utf-8") as handle:
         return loads_spec(handle.read())
+
+
+def _number(convert, token: str, line: str):
+    try:
+        return convert(token)
+    except ValueError:
+        raise SpecFormatError(f"bad number {token!r} in line {line!r}") from None
 
 
 def _one(args: list[str], directive: str) -> str:

@@ -55,10 +55,10 @@ def test_validate_structured_reports_all_sections(runner):
     assert payload["N"] == 5
 
 
-def _broken_machine_file(path):
+def _broken_machine_file(path, scale=1.05):
     base = build_m1()
     unitaries = {s: np.array(m) for s, m in base.symbol_unitaries.items()}
-    unitaries["a"] = unitaries["a"] * 1.05
+    unitaries["a"] = unitaries["a"] * scale
     broken = TwoWayQfaSpec(
         states=base.states,
         input_alphabet=base.input_alphabet,
@@ -266,3 +266,40 @@ def test_machine_file_with_n_paths_is_a_usage_error(runner, tmp_path):
         main, ["run", "--machine", str(path), "--n-paths", "4", "--word", "a"],
     )
     assert result.exit_code == 2
+
+
+def _strict_json(line):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_machine_file_with_a_nan_entry_is_a_usage_error(runner, tmp_path):
+    path = tmp_path / "nan.2qfa"
+    save_spec(build_m1(), path)
+    path.write_text(path.read_text().replace("row q0 q0 1.0 0.0", "row q0 q0 nan 0.0", 1))
+    for args in (("validate",), ("run", "--word", "ab", "--format", "structured")):
+        result = runner.invoke(main, [*args, "--machine", str(path)])
+        assert result.exit_code == 2
+        assert "non-finite" in result.output
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_overflowing_machine_still_writes_strict_json(runner, tmp_path):
+    path = _broken_machine_file(tmp_path / "huge.2qfa", scale=1e200)
+    validated = invoke(runner, "validate", "--machine", str(path), "--format", "structured")
+    assert validated.exit_code == 1
+    report = _strict_json(validated.output)
+    assert report["unitarity_ok"] is False
+    assert report["unitarity_max_deviation"] is None
+
+    ran = invoke(
+        runner, "run", "--machine", str(path), "--word", "aa", "--format", "structured",
+    )
+    assert ran.exit_code == 0
+    record = _strict_json(ran.output)
+    assert record["p_residual"] is None
+    assert record["halted"] is False
+    assert record["steps"] == 2

@@ -1,0 +1,121 @@
+"""The live-block engine against the dense reference engine.
+
+Both engines run under the same ``run`` loop and the same ``step`` and
+``measure`` functions; only the one-step operator differs.  They sum the
+same products in a different order, so amplitudes and probabilities agree
+to 1e-12, not bit for bit, while step counts and halting agree exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_engine import dense_engine
+
+from twoqfa.core import initial_vector, measure, run, step
+from twoqfa.machine import TwoWayQfaSpec
+from twoqfa.machines import build_m1, build_m2, build_m3
+
+TOLERANCE = 1e-12
+
+_BUNDLED = {
+    "m1": (build_m1(), "ab"),
+    "m2_2": (build_m2(2), "()"),
+    "m2_5": (build_m2(5), "()"),
+    "m3_2": (build_m3(2), "abc"),
+    "m3_5": (build_m3(5), "abc"),
+}
+
+
+def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _sparse_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A non-unitary matrix with about half its entries zero and norm 1."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z *= rng.random((n, n)) < 0.5
+    norm = np.linalg.norm(z, 2)
+    return z / norm if norm > 0 else z
+
+
+@st.composite
+def _random_machines(draw):
+    """A random machine, a word over its alphabet and a step budget."""
+    n = draw(st.integers(2, 12))
+    alphabet = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
+    unitary = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    make = _haar if unitary else _sparse_contraction
+    states = tuple(f"s{i}" for i in range(n))
+    if draw(st.booleans()):
+        head_fn = {s: 0 for s in states}
+    else:
+        head_fn = {s: draw(st.sampled_from((-1, 0, 1))) for s in states}
+    roles = draw(st.lists(st.sampled_from("nar"), min_size=n - 1, max_size=n - 1))
+    spec = TwoWayQfaSpec(
+        states=states,
+        input_alphabet=alphabet,
+        initial_state=states[0],
+        accept_states=frozenset(s for s, r in zip(states[1:], roles) if r == "a"),
+        reject_states=frozenset(s for s, r in zip(states[1:], roles) if r == "r"),
+        symbol_unitaries={s: make(rng, n) for s in ("#",) + alphabet + ("$",)},
+        head_fn=head_fn,
+        name="random",
+    )
+    word = draw(st.text(alphabet="".join(alphabet), max_size=12))
+    max_steps = None if unitary else draw(st.integers(1, 16))
+    return spec, word, max_steps
+
+
+@st.composite
+def _bundled_machines(draw):
+    spec, alphabet = _BUNDLED[draw(st.sampled_from(sorted(_BUNDLED)))]
+    return spec, draw(st.text(alphabet=alphabet, max_size=12)), None
+
+
+def _assert_runs_agree(spec, word, max_steps):
+    got = run(spec, word, max_steps=max_steps, trace=True)
+    with dense_engine():
+        want = run(spec, word, max_steps=max_steps, trace=True)
+    assert got.steps == want.steps
+    assert got.halted == want.halted
+    assert abs(got.p_accept - want.p_accept) <= TOLERANCE
+    assert abs(got.p_reject - want.p_reject) <= TOLERANCE
+    assert abs(got.p_residual - want.p_residual) <= TOLERANCE
+    assert np.abs(np.array(got.trace) - np.array(want.trace)).max() <= TOLERANCE
+
+
+def _assert_steps_agree(spec, word, steps):
+    got = initial_vector(spec, word)
+    want = got.copy()
+    for _ in range(steps):
+        got = step(spec, word, got)
+        with dense_engine():
+            want = step(spec, word, want)
+        assert np.abs(got.data - want.data).max() <= TOLERANCE
+        _, _, got = measure(spec, got)
+        _, _, want = measure(spec, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bundled_machines())
+def test_bundled_machines_run_alike_on_both_engines(case):
+    _assert_runs_agree(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_machines())
+def test_random_machines_run_alike_on_both_engines(case):
+    _assert_runs_agree(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_bundled_machines(), _random_machines()))
+def test_stepwise_vectors_agree_on_both_engines(case):
+    spec, word, max_steps = case
+    _assert_steps_agree(spec, word, min(max_steps or 12, 12))

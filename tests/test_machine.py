@@ -179,6 +179,8 @@ def test_spec_constructor_rejects_malformed_machines(m1):
         {"n_paths": 0},
         {"symbol_unitaries": {s: np.eye(3, dtype=complex) for s in ("#", "x", "$")}},
         {"symbol_unitaries": {"#": np.eye(2, dtype=complex)}},
+        {"symbol_unitaries": {**good["symbol_unitaries"], "x": np.full((2, 2), np.nan)}},
+        {"symbol_unitaries": {**good["symbol_unitaries"], "$": np.full((2, 2), np.inf)}},
     ):
         with pytest.raises(ValueError):
             TwoWayQfaSpec(**{**good, **bad})
@@ -188,3 +190,16 @@ def test_padded_entries_cover_exactly_the_unspecified_columns(m1):
     specified = {("#", s) for s in ("q0", "q1", "q5", "q7")}
     padded_hash_marker = {s for sym, s in m1.padded_entries if sym == "#"}
     assert padded_hash_marker == set(m1.states) - {s for _, s in specified}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, 1e200 + 1e200j])
+def test_validator_fails_a_machine_whose_checks_are_not_finite(entry):
+    # a NaN written into a built machine, or entries whose products overflow
+    spec = build_m1()
+    spec.symbol_unitaries["a"][0, :] = entry
+    report = validate(spec)
+    assert report.unitarity_max_deviation == math.inf
+    assert not report.unitarity_ok
+    assert not report.all_ok
