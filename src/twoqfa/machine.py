@@ -181,12 +181,14 @@ def _worse(deviation: float, residual: np.ndarray) -> float:
     return max(deviation, math.inf if math.isnan(worst) else worst)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate(spec: TwoWayQfaSpec, tolerance: float = DEFAULT_TOLERANCE) -> WellFormednessReport:
     """Check per-symbol unitarity and the three local well-formedness conditions.
 
-    Never raises on a badly formed machine; all violations are reported as
-    numbers.  The separability conditions are evaluated from the same masked
-    matrices that amplitude_of reads, not assumed to vanish.
+    Never raises or warns on a badly formed machine; all violations are
+    reported as numbers, an overflowed one as infinity.  The separability
+    conditions are evaluated from the same masked matrices that amplitude_of
+    reads, not assumed to vanish.
     """
     n = len(spec.states)
     identity = np.eye(n)

@@ -285,8 +285,6 @@ def test_machine_file_with_a_nan_entry_is_a_usage_error(runner, tmp_path):
         assert "non-finite" in result.output
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_overflowing_machine_still_writes_strict_json(runner, tmp_path):
     path = _broken_machine_file(tmp_path / "huge.2qfa", scale=1e200)
     validated = invoke(runner, "validate", "--machine", str(path), "--format", "structured")

@@ -192,8 +192,6 @@ def test_padded_entries_cover_exactly_the_unspecified_columns(m1):
     assert padded_hash_marker == set(m1.states) - {s for _, s in specified}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("entry", [np.nan, 1e200 + 1e200j])
 def test_validator_fails_a_machine_whose_checks_are_not_finite(entry):
     # a NaN written into a built machine, or entries whose products overflow

@@ -95,7 +95,7 @@ def _mangled_texts(draw):
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(lines) - 1))
         action = draw(st.sampled_from(["drop", "copy", "edit", "insert"]))
-        if action == "drop" and len(lines) > 1:
+        if action == "drop":
             del lines[i]
         elif action == "copy":
             lines.insert(draw(st.integers(0, len(lines))), lines[i])
