@@ -28,7 +28,7 @@ import click
 from .baselines import LanguageId, sweep_compare
 from .chem import Recipe, parse_recipe, signature, transcribe
 from .core import DEFAULT_HALT_THRESHOLD, RunResult, run
-from .errors import AlphabetError, RecipeError, SpecFormatError
+from .errors import RecipeError, SpecFormatError
 from .machine import TwoWayQfaSpec, validate
 from .machines import BUILT_IN, build, qft_matrix
 from .specfile import load_spec, save_spec
@@ -131,7 +131,10 @@ def validate_cmd(ctx, machine, n_paths, fmt, export_path) -> None:
     spec = _load_machine(machine, n_paths)
     report = validate(spec)
     if export_path is not None:
-        save_spec(spec, export_path)
+        try:
+            save_spec(spec, export_path)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write machine file {export_path}: {exc}") from exc
     if fmt == "structured":
         record = {
             "machine": spec.name or "custom",
@@ -207,7 +210,7 @@ def run_cmd(machine, n_paths, word, recipe_path, fmt, max_steps, halt_threshold,
             spec, word,
             max_steps=max_steps, halt_threshold=halt_threshold, trace=trace,
         )
-    except AlphabetError as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
     record = _run_record(spec, word, result)

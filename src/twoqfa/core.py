@@ -113,7 +113,7 @@ class _Evolution:
         index = {symbol: i for i, symbol in enumerate(spec.tape_alphabet)}
         self.symbols = np.array([index[t] for t in tape_for(word)])
         self.matrices = [spec.symbol_unitaries[s] for s in spec.tape_alphabet]
-        self.moves = np.array([spec.head_fn[s] for s in spec.states])[:, np.newaxis]
+        self.moves = spec._move_column
         self.targets = np.arange(len(spec.states))[:, np.newaxis]
 
     def apply(self, data: np.ndarray) -> np.ndarray:

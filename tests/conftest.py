@@ -28,3 +28,13 @@ def m2_10():
 @pytest.fixture(scope="session")
 def m3_5():
     return build_m3(5)
+
+
+@pytest.fixture(scope="session")
+def m2_20():
+    return build_m2(20)
+
+
+@pytest.fixture(scope="session")
+def m3_20():
+    return build_m3(20)

@@ -26,9 +26,11 @@ def _elapsed_under(start: float, budget: float) -> bool:
     return time.monotonic() - start < budget
 
 
-def test_bundled_machines_are_well_formed_within_1e_9(m1, m2_2, m2_5, m2_10, m3_5):
+def test_bundled_machines_are_well_formed_within_1e_9(
+    m1, m2_2, m2_5, m2_10, m2_20, m3_5, m3_20
+):
     start = time.monotonic()
-    for spec in (m1, m2_2, m2_5, m2_10, m3_5):
+    for spec in (m1, m2_2, m2_5, m2_10, m2_20, m3_5, m3_20):
         report = validate(spec)
         assert report.all_ok, (spec.name, spec.n_paths)
         assert report.unitarity_max_deviation < 1e-9

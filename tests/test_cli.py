@@ -242,6 +242,11 @@ def test_run_on_a_machine_file(runner, tmp_path):
         ("sweep", "--machine", "m1", "--lang", "l3"),
         ("sweep", "--machine", "m1", "--lang", "l1_regex", "--max-len", "15"),
         ("transcribe", "--recipe", "nowhere.recipe"),
+        ("run", "--machine", "m1", "--word", "ab", "--max-steps", "0"),
+        ("run", "--machine", "m1", "--word", "ab", "--max-steps", "-3"),
+        ("run", "--machine", "m1", "--word", "ab", "--halt-threshold", "2"),
+        ("run", "--machine", "m1", "--word", "ab", "--halt-threshold", "0"),
+        ("validate", "--machine", "m1", "--export-spec", "no-such-directory/m1.2qfa"),
     ],
 )
 def test_usage_errors_exit_with_code_two(runner, args):

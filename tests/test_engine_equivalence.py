@@ -1,9 +1,13 @@
-"""The live-block engine against the dense reference engine.
+"""The live-block engine and the derived validator against their references.
 
 Both engines run under the same ``run`` loop and the same ``step`` and
 ``measure`` functions; only the one-step operator differs.  They sum the
 same products in a different order, so amplitudes and probabilities agree
 to 1e-12, not bit for bit, while step counts and halting agree exactly.
+
+``validate`` derives local probability and separability from unitarity;
+the masked-matrix validator computes them, so on the same machines every
+flag agrees and every deviation agrees to 1e-12 (unitarity bit for bit).
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_engine import dense_engine
+from reference_validate import masked_validate
 
 from twoqfa.core import initial_vector, measure, run, step
-from twoqfa.machine import TwoWayQfaSpec
+from twoqfa.machine import DEFAULT_TOLERANCE, TwoWayQfaSpec, validate
 from twoqfa.machines import build_m1, build_m2, build_m3
 
 TOLERANCE = 1e-12
@@ -119,3 +124,21 @@ def test_random_machines_run_alike_on_both_engines(case):
 def test_stepwise_vectors_agree_on_both_engines(case):
     spec, word, max_steps = case
     _assert_steps_agree(spec, word, min(max_steps or 12, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_bundled_machines(), _random_machines()),
+    st.sampled_from((DEFAULT_TOLERANCE, 0.0, 0.5)),
+)
+def test_validate_agrees_with_the_masked_matrix_validator(case, tolerance):
+    spec = case[0]
+    got = validate(spec, tolerance)
+    want = masked_validate(spec, tolerance)
+    assert got.unitarity_max_deviation == want.unitarity_max_deviation
+    for check in ("unitarity", "local_probability", "separability1", "separability2"):
+        assert getattr(got, f"{check}_ok") == getattr(want, f"{check}_ok"), check
+        deviation = getattr(got, f"{check}_max_deviation")
+        assert abs(deviation - getattr(want, f"{check}_max_deviation")) <= TOLERANCE, check
+    assert got.tolerance == want.tolerance
+    assert got.padded_entries == want.padded_entries
