@@ -329,6 +329,8 @@ def sweep_compare(
     spec: TwoWayQfaSpec, language: LanguageId, max_len: int
 ) -> DiscrepancyReport:
     """Exhaustively compare machine verdicts with an oracle up to max_len."""
+    if max_len < 0:
+        raise ValueError(f"max_len {max_len} is negative")
     if max_len > MAX_SWEEP_LEN:
         raise ValueError(f"max_len {max_len} exceeds the sweep cap {MAX_SWEEP_LEN}")
     if not set(language.alphabet) <= set(spec.input_alphabet):

@@ -38,7 +38,9 @@ class TwoWayQfaSpec:
 
     states are ordered; the order fixes matrix indexing, file layout and
     every deterministic tie-break in the package.  symbol_unitaries is keyed
-    by tape symbol (input alphabet plus the two end markers).
+    by tape symbol (input alphabet plus the two end markers).  The simulator
+    keeps the transitions it reads from a column, so a changed machine needs
+    a new spec rather than edited matrices.
     """
 
     states: tuple[str, ...]
@@ -95,6 +97,33 @@ class TwoWayQfaSpec:
             [i for i, s in enumerate(self.states) if s in self.reject_states], dtype=int
         )
         self._halting_rows = np.concatenate([self._accept_rows, self._reject_rows])
+        # 0 for a state that keeps running, 1 accepting, 2 rejecting
+        self._halt_role = [0] * n
+        for role, rows in ((1, self._accept_rows), (2, self._reject_rows)):
+            for row in rows.tolist():
+                self._halt_role[row] = role
+        # per tape symbol (in tape_alphabet order) and source state: how many
+        # transitions leave the source, and the memo of _column_transitions
+        self._column_counts = [
+            np.count_nonzero(self.symbol_unitaries[s], axis=0).tolist()
+            for s in self.tape_alphabet
+        ]
+        self._transitions: list[list[list | None]] = [[None] * n for _ in self.tape_alphabet]
+
+    def _column_transitions(self, symbol: int, source: int) -> list[tuple[int, int, complex]]:
+        """The (target, head move, amplitude) transitions out of one source state.
+
+        These are the nonzero entries of column `source` of the matrix of
+        tape symbol number `symbol`.  Each list is built on first use and
+        kept, so a run pays only for the columns it reaches.
+        """
+        column = self.symbol_unitaries[self.tape_alphabet[symbol]][:, source]
+        targets = np.flatnonzero(column)
+        entries = list(
+            zip(targets.tolist(), self._move_column[targets, 0].tolist(), column[targets].tolist())
+        )
+        self._transitions[symbol][source] = entries
+        return entries
 
     @property
     def tape_alphabet(self) -> tuple[str, ...]:
@@ -283,7 +312,8 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
             gram = block.conj().T @ block
             deviation = np.abs(gram - np.eye(len(specified_sources)))
             worst = np.unravel_index(np.argmax(deviation), deviation.shape)
-            if deviation[worst] >= DEFAULT_TOLERANCE:
+            # written as a negation so that a NaN column fails it too
+            if not deviation[worst] < DEFAULT_TOLERANCE:
                 a, b = specified_sources[worst[0]], specified_sources[worst[1]]
                 raise TableCompletionError(
                     f"columns for source states {a!r} and {b!r} under symbol "

@@ -3,9 +3,10 @@
 ``DenseEvolution`` multiplies the whole state-by-position amplitude array by
 every symbol matrix on every step and masks each product down to that
 symbol's positions, then moves each target row with ``np.roll``.  It is slow
-but has no bookkeeping to get wrong, so the live-block engine in
-``twoqfa.core`` is checked against it.  ``dense_engine()`` swaps it into
-``twoqfa.core`` so that ``run`` and ``step`` use it unchanged.
+but has no bookkeeping to get wrong, so the frontier stepping and the
+live-block engine in ``twoqfa.core`` are checked against it.
+``dense_engine()`` swaps it into ``twoqfa.core`` so that ``step`` and every
+step of ``run`` use it unchanged.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ class DenseEvolution:
 
 @contextmanager
 def dense_engine():
-    """Run ``twoqfa.core`` on the dense reference engine inside the block."""
-    with mock.patch.object(core, "_Evolution", DenseEvolution):
+    """Run ``twoqfa.core`` on the dense reference engine inside the block.
+
+    A negative product budget makes ``run`` hand its frontier over before
+    the first step, so no step is taken on the frontier.
+    """
+    with mock.patch.object(core, "_Evolution", DenseEvolution), \
+            mock.patch.object(core, "_FRONTIER_BUDGET", -1):
         yield

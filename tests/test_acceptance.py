@@ -70,7 +70,7 @@ def test_single_path_machine_gives_deterministic_verdicts_up_to_length_12(m1):
     assert _elapsed_under(start, 60.0)
 
 
-@pytest.mark.parametrize("n_paths", [2, 5, 10])
+@pytest.mark.parametrize("n_paths", [2, 5, 10, 20])
 def test_bracket_machine_meets_its_error_bound(n_paths):
     start = time.monotonic()
     spec = build_m2(n_paths)

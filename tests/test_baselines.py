@@ -164,6 +164,8 @@ def test_sweep_mismatches_come_out_in_shortlex_order(m2_2):
 def test_sweep_rejects_oversized_ranges(m3_5):
     with pytest.raises(ValueError):
         sweep_compare(m3_5, LanguageId.L3, max_len=15)
+    with pytest.raises(ValueError):
+        sweep_compare(m3_5, LanguageId.L3, max_len=-1)
 
 
 def test_sweep_rejects_alphabet_mismatches(m1):

@@ -247,6 +247,7 @@ def test_run_on_a_machine_file(runner, tmp_path):
         ("run", "--machine", "m1", "--word", "ab", "--halt-threshold", "2"),
         ("run", "--machine", "m1", "--word", "ab", "--halt-threshold", "0"),
         ("validate", "--machine", "m1", "--export-spec", "no-such-directory/m1.2qfa"),
+        ("sweep", "--machine", "m1", "--lang", "l1_regex", "--max-len", "-1"),
     ],
 )
 def test_usage_errors_exit_with_code_two(runner, args):

@@ -1,9 +1,10 @@
-"""The live-block engine and the derived validator against their references.
+"""The simulator and the derived validator against their references.
 
-Both engines run under the same ``run`` loop and the same ``step`` and
-``measure`` functions; only the one-step operator differs.  They sum the
-same products in a different order, so amplitudes and probabilities agree
-to 1e-12, not bit for bit, while step counts and halting agree exactly.
+``run`` steps a frontier of live configurations and hands wide frontiers to
+the live-block engine; the reference runs every step, and every ``step``
+call, on the dense engine.  They sum the same products in a different
+order, so amplitudes and probabilities agree to 1e-12, not bit for bit,
+while step counts and halting agree exactly.
 
 ``validate`` derives local probability and separability from unitarity;
 the masked-matrix validator computes them, so on the same machines every
@@ -12,12 +13,15 @@ flag agrees and every deviation agrees to 1e-12 (unitarity bit for bit).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_engine import dense_engine
 from reference_validate import masked_validate
 
+from twoqfa import core
 from twoqfa.core import initial_vector, measure, run, step
 from twoqfa.machine import DEFAULT_TOLERANCE, TwoWayQfaSpec, validate
 from twoqfa.machines import build_m1, build_m2, build_m3
@@ -47,6 +51,28 @@ def _sparse_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     return z / norm if norm > 0 else z
 
 
+def _machine(alphabet, unitary, seed, moves, roles):
+    """A machine with one random matrix per tape symbol.
+
+    moves gives each state's head move; roles marks every state after the
+    initial one as running ("n"), accepting ("a") or rejecting ("r").
+    """
+    n = len(moves)
+    rng = np.random.default_rng(seed)
+    make = _haar if unitary else _sparse_contraction
+    states = tuple(f"s{i}" for i in range(n))
+    return TwoWayQfaSpec(
+        states=states,
+        input_alphabet=alphabet,
+        initial_state=states[0],
+        accept_states=frozenset(s for s, r in zip(states[1:], roles) if r == "a"),
+        reject_states=frozenset(s for s, r in zip(states[1:], roles) if r == "r"),
+        symbol_unitaries={s: make(rng, n) for s in ("#",) + alphabet + ("$",)},
+        head_fn=dict(zip(states, moves)),
+        name="random",
+    )
+
+
 @st.composite
 def _random_machines(draw):
     """A random machine, a word over its alphabet and a step budget."""
@@ -54,27 +80,28 @@ def _random_machines(draw):
     alphabet = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
     unitary = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    make = _haar if unitary else _sparse_contraction
-    states = tuple(f"s{i}" for i in range(n))
     if draw(st.booleans()):
-        head_fn = {s: 0 for s in states}
+        moves = [0] * n
     else:
-        head_fn = {s: draw(st.sampled_from((-1, 0, 1))) for s in states}
+        moves = [draw(st.sampled_from((-1, 0, 1))) for _ in range(n)]
     roles = draw(st.lists(st.sampled_from("nar"), min_size=n - 1, max_size=n - 1))
-    spec = TwoWayQfaSpec(
-        states=states,
-        input_alphabet=alphabet,
-        initial_state=states[0],
-        accept_states=frozenset(s for s, r in zip(states[1:], roles) if r == "a"),
-        reject_states=frozenset(s for s, r in zip(states[1:], roles) if r == "r"),
-        symbol_unitaries={s: make(rng, n) for s in ("#",) + alphabet + ("$",)},
-        head_fn=head_fn,
-        name="random",
-    )
+    spec = _machine(alphabet, unitary, seed, moves, roles)
     word = draw(st.text(alphabet="".join(alphabet), max_size=12))
     max_steps = None if unitary else draw(st.integers(1, 16))
     return spec, word, max_steps
+
+
+# Twelve Haar-random states on an 86-letter word (1,056 cells): from the
+# third step on the frontier gains 240 products a step, so run() takes five
+# steps on it, hands 90 configurations (1,080 products, over the budget of
+# 1,024) to the live-block engine before the sixth, and halts much later.
+# The random machines above hand over when the product count passes the
+# cell count of their short tapes.
+_MID_RUN_HAND_OVER = (
+    _machine(("a", "b"), True, 0, [i % 3 - 1 for i in range(12)], "n" * 9 + "ar"),
+    "ab" * 43,
+    None,
+)
 
 
 @st.composite
@@ -115,8 +142,25 @@ def test_bundled_machines_run_alike_on_both_engines(case):
 
 @settings(max_examples=150, deadline=None)
 @given(_random_machines())
+@example(_MID_RUN_HAND_OVER)
 def test_random_machines_run_alike_on_both_engines(case):
     _assert_runs_agree(*case)
+
+
+def test_pinned_haar_case_hands_over_mid_run():
+    applied = []
+
+    class CountingEvolution(core._Evolution):
+        def apply(self, data):
+            applied.append(np.count_nonzero(data))
+            return super().apply(data)
+
+    spec, word, _ = _MID_RUN_HAND_OVER
+    with mock.patch.object(core, "_Evolution", CountingEvolution):
+        result = run(spec, word)
+    assert result.halted
+    assert result.steps - len(applied) == 5
+    assert applied[0] * 12 > core._FRONTIER_BUDGET
 
 
 @settings(max_examples=60, deadline=None)

@@ -116,6 +116,13 @@ def test_non_unit_column_is_rejected():
     assert "'x'" in str(info.value)
 
 
+def test_nan_column_is_rejected():
+    table = _tiny_table([("u0", "x", "u1", math.nan)])
+    with pytest.raises(TableCompletionError) as info:
+        complete_partial_table(table)
+    assert "'x'" in str(info.value)
+
+
 def test_right_marker_only_table_pads_the_other_eight_states():
     # the four right-marker images of the 12-state scanner, nothing else
     scanner = build_m1()
