@@ -1,9 +1,9 @@
 """Classical reference automata and differential comparison.
 
 Five reference languages pair up with the bundled machines.  The two L1
-readings differ on purpose: L1_REGEX is the pattern (a|b)*a(a|b)*b(a|b)*aa*bb*
-compiled once to a DFA, while L1_PROSE only asks for at least one a and one
-b.  The L2 pair splits the same way (well-nested versus equal counts).
+readings differ on purpose: L1_REGEX is the pattern (a|b)*a(a|b)*b(a|b)*aa*bb*,
+decided in one pass over the word, while L1_PROSE only asks for at least one
+a and one b.  The L2 pair splits the same way (well-nested versus equal counts).
 
 A small deterministic multi-stack pushdown simulator provides independent
 oracles for the context-free and context-sensitive cases; acceptance is by
@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
 
 from .core import RunResult, run
 from .errors import NondeterministicPdaError
@@ -40,98 +39,16 @@ class LanguageId(Enum):
         return ("a", "b", "c")
 
 
-# --- L1 regex, compiled to a DFA once -------------------------------------
-
-_EPS = None
-
-
-def _nfa_fragments():
-    """Thompson-style fragments for (a|b)*a(a|b)*b(a|b)*aa*bb*."""
-    counter = itertools.count()
-    trans: dict[tuple[int, str | None], set[int]] = {}
-
-    def new() -> int:
-        return next(counter)
-
-    def add(src: int, symbol: str | None, dst: int) -> None:
-        trans.setdefault((src, symbol), set()).add(dst)
-
-    def lit(symbol: str) -> tuple[int, int]:
-        a, b = new(), new()
-        add(a, symbol, b)
-        return a, b
-
-    def either(symbols: str) -> tuple[int, int]:
-        a, b = new(), new()
-        for symbol in symbols:
-            inner = lit(symbol)
-            add(a, _EPS, inner[0])
-            add(inner[1], _EPS, b)
-        return a, b
-
-    def star(frag: tuple[int, int]) -> tuple[int, int]:
-        a, b = new(), new()
-        add(a, _EPS, frag[0])
-        add(a, _EPS, b)
-        add(frag[1], _EPS, frag[0])
-        add(frag[1], _EPS, b)
-        return a, b
-
-    def concat(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
-        add(left[1], _EPS, right[0])
-        return left[0], right[1]
-
-    pieces = [
-        star(either("ab")), lit("a"),
-        star(either("ab")), lit("b"),
-        star(either("ab")), lit("a"), star(lit("a")),
-        lit("b"), star(lit("b")),
-    ]
-    start, end = reduce(concat, pieces)
-    return trans, start, end
-
-
-@lru_cache(maxsize=1)
-def _l1_regex_dfa():
-    """Deterministic transition table via subset construction."""
-    trans, start, end = _nfa_fragments()
-
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        stack = list(states)
-        seen = set(states)
-        while stack:
-            for nxt in trans.get((stack.pop(), _EPS), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
-
-    start_set = closure(frozenset({start}))
-    table: dict[tuple[frozenset[int], str], frozenset[int]] = {}
-    accepting: set[frozenset[int]] = set()
-    queue = [start_set]
-    visited = {start_set}
-    while queue:
-        current = queue.pop()
-        if end in current:
-            accepting.add(current)
-        for symbol in "ab":
-            moved = frozenset(
-                dst for state in current for dst in trans.get((state, symbol), ())
-            )
-            nxt = closure(moved)
-            table[(current, symbol)] = nxt
-            if nxt not in visited:
-                visited.add(nxt)
-                queue.append(nxt)
-    return start_set, table, frozenset(accepting)
-
-
 def _match_l1_regex(word: str) -> bool:
-    state, table, accepting = _l1_regex_dfa()
-    for symbol in word:
-        state = table[(state, symbol)]
-    return state in accepting
+    """Decide (a|b)*a(a|b)*b(a|b)*aa*bb* from the first and the last a.
+
+    The tail aa*bb* forces the last a to be followed by at least one b and
+    nothing else, and it can begin at that last a, which leaves the longest
+    prefix for (a|b)*a(a|b)*b(a|b)*: some a with a later b before the last
+    a.  The first a is the best candidate for that earlier a.
+    """
+    first, last = word.find("a"), word.rfind("a")
+    return 0 <= last < len(word) - 1 and "b" in word[first:last]
 
 
 def _is_l3(word: str) -> bool:

@@ -91,14 +91,13 @@ def _emit_json(record: dict) -> None:
     click.echo(json.dumps(_finite(record), allow_nan=False))
 
 
-def _emit_csv(record: dict) -> str:
+def _emit_csv(header, rows) -> None:
+    """A header line and one line per row; floats are written with repr."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(record.keys())
-    writer.writerow(
-        repr(v) if isinstance(v, float) else v for v in record.values()
-    )
-    return buffer.getvalue()
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    click.echo(buffer.getvalue(), nl=False)
 
 
 def _read_recipe(path: str) -> Recipe:
@@ -222,7 +221,7 @@ def run_cmd(machine, n_paths, word, recipe_path, fmt, max_steps, halt_threshold,
     if fmt == "structured":
         _emit_json(record)
     elif fmt == "csv":
-        click.echo(_emit_csv(record), nl=False)
+        _emit_csv(record.keys(), [record.values()])
     else:
         click.echo(f"machine {record['machine']} (N={record['N']}) "
                    f"on word {word!r}")
@@ -259,17 +258,11 @@ def sweep_cmd(machine, n_paths, lang, max_len, fmt) -> None:
     if fmt == "structured":
         _emit_json(report.to_json_obj())
     elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            ["word", "machine_accepts", "oracle_accepts", "p_accept", "p_reject"]
+        _emit_csv(
+            ["word", "machine_accepts", "oracle_accepts", "p_accept", "p_reject"],
+            ([m.word, m.machine_accepts, m.oracle_accepts, m.p_accept, m.p_reject]
+             for m in report.mismatches),
         )
-        for m in report.mismatches:
-            writer.writerow(
-                [m.word, m.machine_accepts, m.oracle_accepts,
-                 repr(m.p_accept), repr(m.p_reject)]
-            )
-        click.echo(buffer.getvalue(), nl=False)
     else:
         click.echo(f"machine {report.machine} (N={report.n_paths}) vs "
                    f"{report.language}, words up to length {report.max_len}")

@@ -223,10 +223,12 @@ def _norm_squared(data: np.ndarray) -> float:
     return float(np.vdot(data, data).real)
 
 
-def _mass(data: np.ndarray, rows: np.ndarray) -> float:
-    if rows.size == 0:
-        return 0.0
-    return _norm_squared(data[rows])
+def _measure_off(spec: TwoWayQfaSpec, data: np.ndarray) -> tuple[float, float]:
+    """The accept and reject mass of `data`; zeroes its halting rows in place."""
+    accept = _norm_squared(data[spec._accept_rows])
+    reject = _norm_squared(data[spec._reject_rows])
+    data[spec._halting_rows] = 0
+    return accept, reject
 
 
 def measure(
@@ -237,11 +239,8 @@ def measure(
     Returns the accept gain, the reject gain and the residual vector with
     halting amplitudes zeroed.  The residual is not renormalised.
     """
-    gain_accept = _mass(vector.data, spec._accept_rows)
-    gain_reject = _mass(vector.data, spec._reject_rows)
     residual = vector.copy()
-    if spec._halting_rows.size:
-        residual.data[spec._halting_rows] = 0
+    gain_accept, gain_reject = _measure_off(spec, residual.data)
     return gain_accept, gain_reject, residual
 
 
@@ -274,9 +273,6 @@ def run(
     frontier = _Frontier(spec, _tape_symbols(spec, word))
     budget = min(_FRONTIER_BUDGET, len(spec.states) * (len(word) + 2))
     data = None
-    accept_rows = spec._accept_rows
-    reject_rows = spec._reject_rows
-    halting_rows = spec._halting_rows
 
     p_accept = 0.0
     p_reject = 0.0
@@ -293,10 +289,7 @@ def run(
             residual_mass, gain_accept, gain_reject = frontier.step()
         else:
             data = evolution.apply(data)
-            gain_accept = _mass(data, accept_rows)
-            gain_reject = _mass(data, reject_rows)
-            if halting_rows.size:
-                data[halting_rows] = 0
+            gain_accept, gain_reject = _measure_off(spec, data)
             residual_mass = _norm_squared(data)
         steps += 1
         p_accept += gain_accept

@@ -5,19 +5,22 @@ every symbol matrix on every step and masks each product down to that
 symbol's positions, then moves each target row with ``np.roll``.  It is slow
 but has no bookkeeping to get wrong, so the frontier stepping and the
 live-block engine in ``twoqfa.core`` are checked against it.
-``dense_engine()`` swaps it into ``twoqfa.core`` so that ``step`` and every
-step of ``run`` use it unchanged.
+``reference_run`` is ``run`` rebuilt on it: its own initial array, halting
+masks read from the state names and the same step budget and stopping
+rules, so no code of ``run`` or of the spec's cached rows is shared.
+``dense_engine()`` swaps it into ``twoqfa.core`` so that ``step`` uses it.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 
 from twoqfa import core
-from twoqfa.core import tape_for
+from twoqfa.core import DEFAULT_HALT_THRESHOLD, MAX_STEPS_FACTOR, RunResult, tape_for
 from twoqfa.machine import TwoWayQfaSpec
 
 
@@ -48,13 +51,40 @@ class DenseEvolution:
         return out
 
 
+def reference_run(spec: TwoWayQfaSpec, word: str, max_steps=None,
+                  halt_threshold=DEFAULT_HALT_THRESHOLD, trace=False) -> RunResult:
+    """``twoqfa.core.run`` with every step on the dense engine."""
+    if max_steps is None:
+        max_steps = MAX_STEPS_FACTOR * spec.n_paths * (len(word) + 2)
+    evolution = DenseEvolution(spec, word)
+    data = np.zeros((len(spec.states), len(word) + 2), dtype=np.complex128)
+    data[spec.states.index(spec.initial_state), 0] = 1.0
+    accept = np.array([s in spec.accept_states for s in spec.states])
+    reject = np.array([s in spec.reject_states for s in spec.states])
+    p_accept = p_reject = 0.0
+    residual = 1.0
+    steps = 0
+    halted = False
+    records = []
+    while steps < max_steps:
+        data = evolution.apply(data)
+        steps += 1
+        p_accept += float(np.vdot(data[accept], data[accept]).real)
+        p_reject += float(np.vdot(data[reject], data[reject]).real)
+        data[accept | reject] = 0
+        residual = float(np.vdot(data, data).real)
+        records.append((p_accept, p_reject, residual))
+        if residual < halt_threshold:
+            halted = True
+            break
+        if not math.isfinite(residual):
+            break
+    return RunResult(p_accept, p_reject, residual, steps, halted,
+                     tuple(records) if trace else None)
+
+
 @contextmanager
 def dense_engine():
-    """Run ``twoqfa.core`` on the dense reference engine inside the block.
-
-    A negative product budget makes ``run`` hand its frontier over before
-    the first step, so no step is taken on the frontier.
-    """
-    with mock.patch.object(core, "_Evolution", DenseEvolution), \
-            mock.patch.object(core, "_FRONTIER_BUDGET", -1):
+    """Make ``twoqfa.core.step`` use the dense reference engine inside the block."""
+    with mock.patch.object(core, "_Evolution", DenseEvolution):
         yield

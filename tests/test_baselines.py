@@ -8,6 +8,7 @@ import re
 import pytest
 
 from twoqfa.baselines import (
+    MAX_SWEEP_LEN,
     LanguageId,
     MultiStackPda,
     NondeterministicPdaError,
@@ -48,12 +49,23 @@ def test_alphabets():
 _L1_PATTERN = re.compile(r"(a|b)*a(a|b)*b(a|b)*aa*bb*\Z")
 
 
-def test_hand_built_dfa_agrees_with_the_re_module():
-    for length in range(11):
-        for letters in itertools.product("ab", repeat=length):
-            word = "".join(letters)
-            expected = _L1_PATTERN.match(word) is not None
-            assert membership(LanguageId.L1_REGEX, word) is expected
+# re backtracks cubically on this pattern, so long words carry known verdicts
+_LONG_L1_VERDICTS = [
+    ("ab" * 5000, True),
+    ("a" * 10000 + "b", False),
+    ("ab" + "a" * 10000 + "b", True),
+    ("b" * 10000, False),
+    ("ab" * 5000 + "a", False),
+    ("ba" * 5000 + "bb", True),
+]
+
+
+def test_l1_regex_oracle_agrees_with_the_re_module():
+    for word in words_up_to(("a", "b"), MAX_SWEEP_LEN):
+        expected = _L1_PATTERN.match(word) is not None
+        assert membership(LanguageId.L1_REGEX, word) is expected, word
+    for word, expected in _LONG_L1_VERDICTS:
+        assert membership(LanguageId.L1_REGEX, word) is expected, word[:8]
 
 
 def test_dyck_words_also_balance_counts():

@@ -1,10 +1,10 @@
 """The simulator and the derived validator against their references.
 
 ``run`` steps a frontier of live configurations and hands wide frontiers to
-the live-block engine; the reference runs every step, and every ``step``
-call, on the dense engine.  They sum the same products in a different
-order, so amplitudes and probabilities agree to 1e-12, not bit for bit,
-while step counts and halting agree exactly.
+the live-block engine; ``reference_run`` takes every step, and
+``dense_engine()`` every ``step`` call, on the dense engine.  They sum the
+same products in a different order, so amplitudes and probabilities agree
+to 1e-12, not bit for bit, while step counts and halting agree exactly.
 
 ``validate`` derives local probability and separability from unitarity;
 the masked-matrix validator computes them, so on the same machines every
@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_engine import dense_engine
+from reference_engine import dense_engine, reference_run
 from reference_validate import masked_validate
 
 from twoqfa import core
@@ -112,8 +112,7 @@ def _bundled_machines(draw):
 
 def _assert_runs_agree(spec, word, max_steps):
     got = run(spec, word, max_steps=max_steps, trace=True)
-    with dense_engine():
-        want = run(spec, word, max_steps=max_steps, trace=True)
+    want = reference_run(spec, word, max_steps=max_steps, trace=True)
     assert got.steps == want.steps
     assert got.halted == want.halted
     assert abs(got.p_accept - want.p_accept) <= TOLERANCE
