@@ -60,9 +60,10 @@ def _is_l3(word: str) -> bool:
 
 def membership(language: LanguageId, word: str) -> bool:
     """Exact membership by direct decision procedure."""
-    foreign = [s for s in word if s not in language.alphabet]
-    if foreign:
-        raise ValueError(f"symbol {foreign[0]!r} is not in the {language.value} alphabet")
+    alphabet = language.alphabet
+    if not set(word) <= set(alphabet):
+        foreign = next(s for s in word if s not in alphabet)
+        raise ValueError(f"symbol {foreign!r} is not in the {language.value} alphabet")
     if language is LanguageId.L1_REGEX:
         return _match_l1_regex(word)
     if language is LanguageId.L1_PROSE:

@@ -7,9 +7,12 @@ every target state by its head direction.  After each step the accepting
 and rejecting components are measured off and accumulated without
 renormalising the remainder.
 
-``run`` steps the live configurations one by one while a step takes few
-products (``_Frontier``), and moves to the live-block matmul of
-``_Evolution`` for good once the frontier grows wide.
+``run`` takes one of two engines, chosen once per machine from the nonzeros
+of its matrices.  A machine whose matrices are more than half zeros, as the
+bundled machines are, has few configurations live at once and few
+transitions out of each, so ``_Frontier`` steps the live configurations one
+by one.  A denser machine, such as a Haar-random one, soon makes most of its
+tape live, so ``_Evolution`` multiplies the live block with whole matrices.
 """
 
 from __future__ import annotations
@@ -27,17 +30,6 @@ DEFAULT_HALT_THRESHOLD = 1e-12
 
 #: multiplier in the default step budget 64 * n_paths * (n + 2)
 MAX_STEPS_FACTOR = 64
-
-#: products per step above which run() hands its frontier to the live-block
-#: matmul, unless the state-by-position array has fewer cells.  A product
-#: costs about 0.4 us on the frontier, a live-block step about 50 us plus a
-#: few ns a cell.  On m2 and m3 at N=20 and 16- to 48-state Haar-random
-#: machines, budgets from 512 to 2,048 ran equally fast within noise; 4,096
-#: made the random machines 1.7 times slower and no hand-over 80 times.
-#: Without the cell cap, a 16-state random machine on words of up to three
-#: letters kept its whole tape live on the frontier and ran 2 to 6 times
-#: slower.
-_FRONTIER_BUDGET = 1024
 
 
 @dataclass(frozen=True, order=True)
@@ -104,14 +96,12 @@ def tape_for(word: str) -> str:
 
 def _tape_symbols(spec: TwoWayQfaSpec, word: str) -> list[int]:
     """The index in spec.tape_alphabet of each cell of the tape of `word`."""
-    index = {symbol: i for i, symbol in enumerate(spec.input_alphabet, start=1)}
-    symbols = [0]
-    for position, symbol in enumerate(word):
-        if symbol not in index:
-            raise AlphabetError(symbol, position)
-        symbols.append(index[symbol])
-    symbols.append(len(index) + 1)
-    return symbols
+    index = spec._symbol_index
+    try:
+        return [0, *map(index.__getitem__, word), len(index) + 1]
+    except KeyError:
+        position = next(p for p, symbol in enumerate(word) if symbol not in index)
+        raise AlphabetError(word[position], position) from None
 
 
 def initial_vector(spec: TwoWayQfaSpec, word: str) -> AmplitudeVector:
@@ -131,13 +121,16 @@ class _Evolution:
     entry (t, col) of the product lands at (t, col + move[t]) on the
     circular tape.  For a fixed target row that shift is one constant, so
     distinct columns land in distinct cells and one assignment suffices.
+    data is the amplitude array that ``step`` advances; ``run`` sets it.
     """
 
     def __init__(self, spec: TwoWayQfaSpec, word: str):
+        self.spec = spec
         self.symbols = np.array(_tape_symbols(spec, word))
-        self.matrices = [spec.symbol_unitaries[s] for s in spec.tape_alphabet]
+        self.matrices = spec._matrices
         self.moves = spec._move_column
         self.targets = np.arange(len(spec.states))[:, np.newaxis]
+        self.data: np.ndarray | None = None
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(data.any(axis=1))
@@ -154,25 +147,29 @@ class _Evolution:
         out[self.targets, (cols + self.moves) % data.shape[1]] = mixed
         return out
 
+    def step(self) -> list[float]:
+        """One step of data and its measurement; returns the residual, accept and reject mass."""
+        self.data = self.apply(self.data)
+        accept, reject = _measure_off(self.spec, self.data)
+        return [_norm_squared(self.data), accept, reject]
+
 
 class _Frontier:
     """The live configurations of one run, stepped one configuration at a time.
 
-    configs maps (state row, position) to a nonzero amplitude.  A step sends
-    each configuration through the transitions of its column, sums the
-    products per target configuration and only then measures, so amplitudes
-    interfere before the halting mass is taken off.  work is the number of
-    products the next step will take.
+    configs maps (state row, position) to a nonzero amplitude and starts at
+    the initial configuration.  A step sends each configuration through the
+    transitions of its column, sums the products per target configuration
+    and only then measures, so amplitudes interfere before the halting mass
+    is taken off.
     """
 
-    def __init__(self, spec: TwoWayQfaSpec, symbols: list[int]):
+    def __init__(self, spec: TwoWayQfaSpec, word: str):
         self.spec = spec
-        self.symbols = symbols
-        self.transitions = [spec._transitions[s] for s in symbols]
-        self.counts = [spec._column_counts[s] for s in symbols]
+        self.symbols = _tape_symbols(spec, word)
+        self.transitions = [spec._transitions[s] for s in self.symbols]
         start = spec.state_index(spec.initial_state)
         self.configs: dict[tuple[int, int], complex] = {(start, 0): 1 + 0j}
-        self.work = self.counts[0][start]
 
     def step(self) -> list[float]:
         """One step and its measurement; returns the residual, accept and reject mass."""
@@ -187,10 +184,8 @@ class _Frontier:
                 key = (target, (position + move) % length)
                 summed[key] = summed.get(key, 0j) + weight * amplitude
         roles = self.spec._halt_role
-        counts = self.counts
         masses = [0.0, 0.0, 0.0]
         live = {}
-        work = 0
         for key, amplitude in summed.items():
             if not amplitude:  # cancelled exactly: not live, as in the live block
                 continue
@@ -199,16 +194,8 @@ class _Frontier:
             masses[role] += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
             if not role:
                 live[key] = amplitude
-                work += counts[key[1]][key[0]]
         self.configs = live
-        self.work = work
         return masses
-
-    def to_dense(self) -> np.ndarray:
-        data = np.zeros((len(self.spec.states), len(self.symbols)), dtype=np.complex128)
-        for (state, position), amplitude in self.configs.items():
-            data[state, position] = amplitude
-        return data
 
 
 def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVector:
@@ -259,10 +246,9 @@ def run(
     is reported via halted=False, not raised.  A residual that overflows to
     a non-finite value also ends the run with halted=False.
 
-    The run starts on the frontier of live configurations and allocates the
-    state-by-position array only when a step would take more products than
-    _FRONTIER_BUDGET or than the array has cells; it finishes on the
-    live-block matmul.
+    Every step of a run takes the engine the machine chose when its spec
+    was built: the frontier of live configurations when its matrices are
+    more than half zeros, the live-block matmul otherwise.
     """
     if max_steps is None:
         max_steps = MAX_STEPS_FACTOR * spec.n_paths * (len(word) + 2)
@@ -270,9 +256,11 @@ def run(
         raise ValueError("max_steps must be at least 1")
     if not 0 < halt_threshold < 1:
         raise ValueError("halt_threshold must lie strictly between 0 and 1")
-    frontier = _Frontier(spec, _tape_symbols(spec, word))
-    budget = min(_FRONTIER_BUDGET, len(spec.states) * (len(word) + 2))
-    data = None
+    if spec._sparse:
+        engine = _Frontier(spec, word)
+    else:
+        engine = _Evolution(spec, word)
+        engine.data = initial_vector(spec, word).data
 
     p_accept = 0.0
     p_reject = 0.0
@@ -282,15 +270,7 @@ def run(
     records: list[tuple[float, float, float]] = []
 
     for _ in range(max_steps):
-        if data is None and frontier.work > budget:
-            data = frontier.to_dense()
-            evolution = _Evolution(spec, word)
-        if data is None:
-            residual_mass, gain_accept, gain_reject = frontier.step()
-        else:
-            data = evolution.apply(data)
-            gain_accept, gain_reject = _measure_off(spec, data)
-            residual_mass = _norm_squared(data)
+        residual_mass, gain_accept, gain_reject = engine.step()
         steps += 1
         p_accept += gain_accept
         p_reject += gain_reject

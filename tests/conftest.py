@@ -26,8 +26,18 @@ def m2_10():
 
 
 @pytest.fixture(scope="session")
+def m3_2():
+    return build_m3(2)
+
+
+@pytest.fixture(scope="session")
 def m3_5():
     return build_m3(5)
+
+
+@pytest.fixture(scope="session")
+def m3_10():
+    return build_m3(10)
 
 
 @pytest.fixture(scope="session")

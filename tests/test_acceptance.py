@@ -13,6 +13,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_outcomes import m2_accept, m3_accept
 
 from twoqfa.baselines import LanguageId, dyck_pda, l3_pda, membership, run_pda, sweep_compare, words_up_to
 from twoqfa.core import run
@@ -100,6 +103,70 @@ def test_triple_block_machine_meets_its_error_bound(m3_5):
             assert result.p_reject >= 1 - 1e-9, word
     assert members == 3
     assert _elapsed_under(start, 180.0)
+
+
+def _split(rng: random.Random, total: int, parts: int) -> list[int]:
+    """`total` as a sum of `parts` positive integers."""
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def _long_bracket_words(rng: random.Random, n: int) -> list[str]:
+    """Block-shaped words: equal counts, unequal counts, and random blocks."""
+    blocks = rng.randint(1, 8)
+    opens = [n // 2, n // 2 + rng.choice((-1, 1)) * rng.randint(1, n // 8)]
+    words = [
+        "".join("(" * a + ")" * b for a, b in zip(_split(rng, o, blocks), _split(rng, n - o, blocks)))
+        for o in opens
+    ]
+    return words + ["(" + "".join(rng.choice("()") for _ in range(n - 2)) + ")"]
+
+
+def _long_triple_words(rng: random.Random, n: int) -> list[str]:
+    """aˣbʸcᶻ with all, two and no counts equal, and a random word."""
+    x = n // 3
+    y = rng.randint(1, x - 1)
+    counts = [(x, x, x), (x, x + y, x), (x, y, n - x - y)]
+    words = ["a" * a + "b" * b + "c" * c for a, b, c in counts]
+    return words + ["".join(rng.choice("abc") for _ in range(n))]
+
+
+def _assert_closed_form(spec, word, p_accept):
+    result = run(spec, word)
+    assert result.halted, word
+    assert abs(result.p_accept - p_accept) <= 1e-12, word
+    assert abs(result.p_reject - (1.0 - p_accept)) <= 1e-12, word
+
+
+@pytest.mark.parametrize("n_paths", [2, 5, 10, 20])
+def test_bracket_and_triple_block_machines_match_their_closed_forms(n_paths, request):
+    start = time.monotonic()
+    rng = random.Random(20261018 + n_paths)
+    m2, m3 = (request.getfixturevalue(f"{name}_{n_paths}") for name in ("m2", "m3"))
+    brackets = list(words_up_to(("(", ")"), 10))
+    brackets.append("(" * 6 + ")" * 6)  # the deepest word of the bound test
+    for n in (64, 512, 4096):
+        brackets += _long_bracket_words(rng, n)
+    for word in brackets:
+        _assert_closed_form(m2, word, m2_accept(word, n_paths))
+    triples = list(words_up_to(("a", "b", "c"), 9 if n_paths == 5 else 7))
+    for n in (48, 96, 192):
+        triples += _long_triple_words(rng, n)
+    for word in triples:
+        _assert_closed_form(m3, word, m3_accept(word, n_paths))
+    assert _elapsed_under(start, 120.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=4),
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+)
+def test_random_block_words_match_the_closed_forms(m2_5, m3_5, brackets, triple):
+    word = "".join("(" * a + ")" * b for a, b in brackets)
+    _assert_closed_form(m2_5, word, m2_accept(word, 5))
+    word = "a" * triple[0] + "b" * triple[1] + "c" * triple[2]
+    _assert_closed_form(m3_5, word, m3_accept(word, 5))
 
 
 def _is_block_shaped(word: str) -> bool:

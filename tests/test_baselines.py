@@ -38,6 +38,8 @@ def test_membership_rejects_foreign_symbols():
         membership(LanguageId.L3, "abx")
     with pytest.raises(ValueError):
         membership(LanguageId.L2_DYCK, "ab")
+    with pytest.raises(ValueError, match=r"^symbol 'y' is not in the L3 alphabet$"):
+        membership(LanguageId.L3, "abyxc")
 
 
 def test_alphabets():

@@ -1,10 +1,11 @@
 """The simulator and the derived validator against their references.
 
-``run`` steps a frontier of live configurations and hands wide frontiers to
-the live-block engine; ``reference_run`` takes every step, and
-``dense_engine()`` every ``step`` call, on the dense engine.  They sum the
-same products in a different order, so amplitudes and probabilities agree
-to 1e-12, not bit for bit, while step counts and halting agree exactly.
+``run`` steps a frontier of live configurations on a machine whose
+matrices are mostly zeros and the live block of the amplitude array on a
+denser one; ``reference_run`` takes every step, and ``dense_engine()``
+every ``step`` call, on the dense engine.  They sum the same products in a
+different order, so amplitudes and probabilities agree to 1e-12, not bit
+for bit, while step counts and halting agree exactly.
 
 ``validate`` derives local probability and separability from unitarity;
 the masked-matrix validator computes them, so on the same machines every
@@ -16,7 +17,7 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 from reference_engine import dense_engine, reference_run
 from reference_validate import masked_validate
@@ -25,6 +26,7 @@ from twoqfa import core
 from twoqfa.core import initial_vector, measure, run, step
 from twoqfa.machine import DEFAULT_TOLERANCE, TwoWayQfaSpec, validate
 from twoqfa.machines import build_m1, build_m2, build_m3
+from twoqfa.specfile import dumps_spec, loads_spec
 
 TOLERANCE = 1e-12
 
@@ -43,6 +45,11 @@ def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def _permutation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A unitary with one nonzero per column: a permutation with random phases."""
+    return np.eye(n)[rng.permutation(n)] * np.exp(2j * np.pi * rng.random(n))
+
+
 def _sparse_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     """A non-unitary matrix with about half its entries zero and norm 1."""
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -51,15 +58,20 @@ def _sparse_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     return z / norm if norm > 0 else z
 
 
-def _machine(alphabet, unitary, seed, moves, roles):
-    """A machine with one random matrix per tape symbol.
+#: random matrices by kind: Haar unitaries are dense, permutations sparse
+#: from three states on, and contractions fall on either side of the rule
+_MATRICES = {"haar": _haar, "permutation": _permutation, "contraction": _sparse_contraction}
+
+
+def _machine(alphabet, kind, seed, moves, roles):
+    """A machine with one random matrix of the given kind per tape symbol.
 
     moves gives each state's head move; roles marks every state after the
     initial one as running ("n"), accepting ("a") or rejecting ("r").
     """
     n = len(moves)
     rng = np.random.default_rng(seed)
-    make = _haar if unitary else _sparse_contraction
+    make = _MATRICES[kind]
     states = tuple(f"s{i}" for i in range(n))
     return TwoWayQfaSpec(
         states=states,
@@ -78,27 +90,25 @@ def _random_machines(draw):
     """A random machine, a word over its alphabet and a step budget."""
     n = draw(st.integers(2, 12))
     alphabet = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
-    unitary = draw(st.booleans())
+    kind = draw(st.sampled_from(sorted(_MATRICES)))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
         moves = [0] * n
     else:
         moves = [draw(st.sampled_from((-1, 0, 1))) for _ in range(n)]
     roles = draw(st.lists(st.sampled_from("nar"), min_size=n - 1, max_size=n - 1))
-    spec = _machine(alphabet, unitary, seed, moves, roles)
+    spec = _machine(alphabet, kind, seed, moves, roles)
     word = draw(st.text(alphabet="".join(alphabet), max_size=12))
-    max_steps = None if unitary else draw(st.integers(1, 16))
+    max_steps = draw(st.integers(1, 16)) if kind == "contraction" else None
     return spec, word, max_steps
 
 
-# Twelve Haar-random states on an 86-letter word (1,056 cells): from the
-# third step on the frontier gains 240 products a step, so run() takes five
-# steps on it, hands 90 configurations (1,080 products, over the budget of
-# 1,024) to the live-block engine before the sixth, and halts much later.
-# The random machines above hand over when the product count passes the
-# cell count of their short tapes.
-_MID_RUN_HAND_OVER = (
-    _machine(("a", "b"), True, 0, [i % 3 - 1 for i in range(12)], "n" * 9 + "ar"),
+# Twelve Haar-random states on an 86-letter word (1,056 cells): the live
+# configurations grow by 20 a step until, from step 44 on, all 880 cells of
+# the ten running states are live; the run halts after 574 steps, every one
+# of them on the live-block engine.
+_LONG_TAPE_HAAR = (
+    _machine(("a", "b"), "haar", 0, [i % 3 - 1 for i in range(12)], "n" * 9 + "ar"),
     "ab" * 43,
     None,
 )
@@ -141,25 +151,38 @@ def test_bundled_machines_run_alike_on_both_engines(case):
 
 @settings(max_examples=150, deadline=None)
 @given(_random_machines())
-@example(_MID_RUN_HAND_OVER)
+@example(_LONG_TAPE_HAAR)
 def test_random_machines_run_alike_on_both_engines(case):
     _assert_runs_agree(*case)
 
 
-def test_pinned_haar_case_hands_over_mid_run():
-    applied = []
+def _engine_of(spec: TwoWayQfaSpec) -> str:
+    """The engine ``run`` takes on `spec`, seen from the class it builds."""
+    word = spec.input_alphabet[0]
+    with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier, \
+            mock.patch.object(core, "_Evolution", wraps=core._Evolution) as evolution:
+        run(spec, word, max_steps=1)
+    assert frontier.call_count + evolution.call_count == 1
+    return "frontier" if frontier.called else "live block"
 
-    class CountingEvolution(core._Evolution):
-        def apply(self, data):
-            applied.append(np.count_nonzero(data))
-            return super().apply(data)
 
-    spec, word, _ = _MID_RUN_HAND_OVER
-    with mock.patch.object(core, "_Evolution", CountingEvolution):
-        result = run(spec, word)
-    assert result.halted
-    assert result.steps - len(applied) == 5
-    assert applied[0] * 12 > core._FRONTIER_BUDGET
+def test_each_machine_family_takes_its_engine(
+    m1, m2_2, m2_5, m2_10, m2_20, m3_2, m3_5, m3_10, m3_20
+):
+    bundled = [m1, m2_2, m2_5, m2_10, m2_20, m3_2, m3_5, m3_10, m3_20]
+    assert {_engine_of(spec) for spec in bundled} == {"frontier"}
+    haar = [
+        _machine(("a", "b"), "haar", seed, [seed % 3 - 1] * n, "n" * (n - 5) + "aarr")
+        for seed, n in enumerate((16, 24, 32, 48))
+    ]
+    assert {_engine_of(spec) for spec in haar} == {"live block"}
+    for spec in (m2_5, haar[0]):
+        assert _engine_of(loads_spec(dumps_spec(spec))) == _engine_of(spec)
+
+
+def test_random_machines_reach_both_engines():
+    for engine in ("frontier", "live block"):
+        find(_random_machines(), lambda case: _engine_of(case[0]) == engine)
 
 
 @settings(max_examples=60, deadline=None)
