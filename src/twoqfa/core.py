@@ -177,10 +177,7 @@ class _Frontier:
         transitions = self.transitions
         summed: dict[tuple[int, int], complex] = {}
         for (state, position), amplitude in self.configs.items():
-            entries = transitions[position][state]
-            if entries is None:
-                entries = self.spec._column_transitions(self.symbols[position], state)
-            for target, move, weight in entries:
+            for target, move, weight in transitions[position][state]:
                 key = (target, (position + move) % length)
                 summed[key] = summed.get(key, 0j) + weight * amplitude
         roles = self.spec._halt_role

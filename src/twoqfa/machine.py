@@ -38,10 +38,11 @@ class TwoWayQfaSpec:
 
     states are ordered; the order fixes matrix indexing, file layout and
     every deterministic tie-break in the package.  symbol_unitaries is keyed
-    by tape symbol (input alphabet plus the two end markers).  The simulator
-    keeps the transitions it reads from a column and the engine the
-    matrices' nonzeros chose, so a changed machine needs a new spec rather
-    than edited matrices.
+    by tape symbol (input alphabet plus the two end markers).  The
+    constructor fixes the engine from the matrices' nonzeros and, for the
+    frontier, lists each column's transitions once, so a changed machine
+    needs a new spec rather than edited matrices.  padded_entries names
+    (tape symbol, source state) pairs, each at most once.
     """
 
     states: tuple[str, ...]
@@ -89,6 +90,11 @@ class TwoWayQfaSpec:
                 raise ValueError(f"matrix for {symbol!r} has a non-finite entry")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        for symbol, state in self.padded_entries:
+            if symbol not in self.symbol_unitaries or state not in state_set:
+                raise ValueError(f"padded entry ({symbol!r}, {state!r}) is not a symbol and state")
+        if len(set(self.padded_entries)) != len(self.padded_entries):
+            raise ValueError("a padded entry is listed twice")
         self._state_index = {state: i for i, state in enumerate(self.states)}
         self._move_column = np.array([self.head_fn[s] for s in self.states])[:, np.newaxis]
         self._accept_rows = np.array(
@@ -110,30 +116,25 @@ class TwoWayQfaSpec:
         # the engine of run(), fixed by the machine: the frontier steps each
         # live configuration through the nonzeros of its column, the live
         # block multiplies whole matrices, so mostly-zero matrices go to the
-        # frontier.  The bundled machines hold 0.1-8% nonzeros, Haar-random
-        # machines 100%.  The count cannot see a small dense block that a
-        # large sparse machine keeps busy; such a machine runs, slowly, on
-        # the frontier.
-        nonzeros = sum(np.count_nonzero(matrix) for matrix in self._matrices)
-        self._sparse = 2 * nonzeros < len(self._matrices) * n * n
-        # per tape symbol (in tape_alphabet order) and source state: the memo
-        # of _column_transitions
-        self._transitions: list[list[list | None]] = [[None] * n for _ in self.tape_alphabet]
-
-    def _column_transitions(self, symbol: int, source: int) -> list[tuple[int, int, complex]]:
-        """The (target, head move, amplitude) transitions out of one source state.
-
-        These are the nonzero entries of column `source` of the matrix of
-        tape symbol number `symbol`.  Each list is built on first use and
-        kept, so a run pays only for the columns it reaches.
-        """
-        column = self._matrices[symbol][:, source]
-        targets = np.flatnonzero(column)
-        entries = list(
-            zip(targets.tolist(), self._move_column[targets, 0].tolist(), column[targets].tolist())
-        )
-        self._transitions[symbol][source] = entries
-        return entries
+        # frontier.  The bundled machines at N <= 30 hold 0.1-8.3% nonzeros,
+        # 1.0-1.6 a column, Haar-random machines 100%.  The count cannot see
+        # a small dense block that a large sparse machine keeps busy; such a
+        # machine runs, slowly, on the frontier.
+        nonzero = [matrix != 0 for matrix in self._matrices]
+        self._sparse = 2 * sum(map(np.count_nonzero, nonzero)) < len(nonzero) * n * n
+        # for the frontier, per tape symbol (in tape_alphabet order) and
+        # source state: the (target, head move, amplitude) transitions, the
+        # nonzeros of that column in target order
+        self._transitions: list[list[list[tuple[int, int, complex]]]] = []
+        if self._sparse:
+            moves = self._move_column[:, 0].tolist()
+            for matrix, mask in zip(self._matrices, nonzero):
+                columns = [[] for _ in range(n)]
+                sources, targets = np.nonzero(mask.T)
+                weights = matrix[targets, sources].tolist()
+                for source, target, weight in zip(sources.tolist(), targets.tolist(), weights):
+                    columns[source].append((target, moves[target], weight))
+                self._transitions.append(columns)
 
     @property
     def tape_alphabet(self) -> tuple[str, ...]:
@@ -268,15 +269,15 @@ class PartialTable:
         return (LEFT_MARKER,) + tuple(self.input_alphabet) + (RIGHT_MARKER,)
 
 
-def _specified_columns(table: PartialTable, symbol: str) -> dict[str, np.ndarray]:
+def _specified_columns(
+    table: PartialTable, symbol: str, rows: list[tuple[str, str, str, complex]]
+) -> dict[str, np.ndarray]:
     """Collect the column vector each source state is given under `symbol`."""
     index = {state: i for i, state in enumerate(table.states)}
     n = len(table.states)
     columns: dict[str, np.ndarray] = {}
     seen: set[tuple[str, str]] = set()
-    for source, sym, target, amplitude in table.rows:
-        if sym != symbol:
-            continue
+    for source, _, target, amplitude in rows:
         if source not in index or target not in index:
             raise TableCompletionError(f"row references unknown state: {source!r} -> {target!r}")
         key = (source, target)
@@ -290,35 +291,43 @@ def _specified_columns(table: PartialTable, symbol: str) -> dict[str, np.ndarray
     return columns
 
 
-def _is_basis_column(column: np.ndarray) -> bool:
-    nonzero = np.flatnonzero(column)
-    return nonzero.size == 1 and column[nonzero[0]] == 1.0
-
-
 def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
     """Extend a partial table to a full machine with unitary matrices.
 
     The specified columns of each symbol must already be pairwise
     orthonormal; otherwise no unitary extension exists and a
-    TableCompletionError names the symbol and an offending column pair.
+    TableCompletionError names the symbol and an offending column pair.  A
+    row under a symbol outside the tape alphabet raises it too.
 
-    When every specified column is a unit basis vector the completion is a
-    permutation: unspecified non-halting sources are first routed to unused
-    rejecting targets, then everything left pairs up in state order.  For
-    symbols holding genuine superposition columns the open columns receive
-    an orthonormal basis of the complement of the specified span.
+    Every symbol is completed by one rule.  The rows its specified columns
+    touch receive the orthonormal complement of those columns, taken over
+    the touched rows alone; every other row receives its own basis vector.
+    Unspecified non-halting sources take the basis vectors of rejecting rows
+    first; the other unspecified sources, in state order, then take the
+    remaining basis vectors in row order and after them the complement.
+    When every specified column is a unit basis vector the complement is
+    empty and the completion is a permutation.
     """
     index = {state: i for i, state in enumerate(table.states)}
     n = len(table.states)
     halting = table.accept_states | table.reject_states
+    rows_by_symbol: dict[str, list[tuple[str, str, str, complex]]] = {
+        symbol: [] for symbol in table.tape_alphabet
+    }
+    for row in table.rows:
+        if row[1] not in rows_by_symbol:
+            raise TableCompletionError(f"row {row!r} names {row[1]!r}, which is not a tape symbol")
+        rows_by_symbol[row[1]].append(row)
     matrices: dict[str, np.ndarray] = {}
     padded: list[tuple[str, str]] = []
 
     for symbol in table.tape_alphabet:
-        columns = _specified_columns(table, symbol)
+        columns = _specified_columns(table, symbol, rows_by_symbol[symbol])
         specified_sources = [s for s in table.states if s in columns]
+        block = np.zeros((n, len(specified_sources)), dtype=np.complex128)
+        for k, source in enumerate(specified_sources):
+            block[:, k] = columns[source]
         if specified_sources:
-            block = np.stack([columns[s] for s in specified_sources], axis=1)
             gram = block.conj().T @ block
             deviation = np.abs(gram - np.eye(len(specified_sources)))
             worst = np.unravel_index(np.argmax(deviation), deviation.shape)
@@ -331,30 +340,22 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
                 )
 
         matrix = np.zeros((n, n), dtype=np.complex128)
-        for source in specified_sources:
-            matrix[:, index[source]] = columns[source]
+        matrix[:, [index[s] for s in specified_sources]] = block
         unspecified = [s for s in table.states if s not in columns]
-
-        if all(_is_basis_column(columns[s]) for s in specified_sources):
-            used = {int(np.flatnonzero(columns[s])[0]) for s in specified_sources}
-            unused = [s for s in table.states if index[s] not in used]
-            free_reject = [s for s in unused if s in table.reject_states]
-            assignment: dict[str, str] = {}
-            for source in unspecified:
-                if source not in halting and free_reject:
-                    assignment[source] = free_reject.pop(0)
-            remaining = [s for s in unused if s not in assignment.values()]
-            leftovers = [s for s in unspecified if s not in assignment]
-            for source, target in zip(leftovers, remaining):
-                assignment[source] = target
-            for source, target in assignment.items():
-                matrix[index[target], index[source]] = 1.0
-        elif unspecified:
-            block = np.stack([columns[s] for s in specified_sources], axis=1)
-            u, _, _ = np.linalg.svd(block, full_matrices=True)
+        hit = block.any(axis=1)
+        touched, untouched = np.flatnonzero(hit), np.flatnonzero(~hit).tolist()
+        free_reject = [r for r in untouched if table.states[r] in table.reject_states]
+        routed = dict(zip([s for s in unspecified if s not in halting], free_reject))
+        taken = set(routed.values())
+        basis = [r for r in untouched if r not in taken]
+        leftovers = [s for s in unspecified if s not in routed]
+        for source, row in [*routed.items(), *zip(leftovers, basis)]:
+            matrix[row, index[source]] = 1.0
+        if len(leftovers) > len(basis):
+            u, _, _ = np.linalg.svd(block[touched], full_matrices=True)
             complement = u[:, len(specified_sources):]
-            for k, source in enumerate(unspecified):
-                matrix[:, index[source]] = complement[:, k]
+            for k, source in enumerate(leftovers[len(basis):]):
+                matrix[touched, index[source]] = complement[:, k]
 
         padded.extend((symbol, s) for s in unspecified)
         deviation = _unitarity_deviation(matrix)

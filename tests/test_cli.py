@@ -291,6 +291,19 @@ def test_machine_file_with_a_nan_entry_is_a_usage_error(runner, tmp_path):
         assert "non-finite" in result.output
 
 
+@pytest.mark.parametrize(
+    "padded", ["padded zz nosuchstate", "padded # q0\npadded # q0"], ids=["unknown", "repeated"]
+)
+def test_machine_file_with_a_bad_padded_entry_is_a_usage_error(runner, tmp_path, padded):
+    path = tmp_path / "padded.2qfa"
+    save_spec(build_m1(), path)
+    path.write_text(path.read_text().replace("\nmatrix #\n", f"\n{padded}\nmatrix #\n"))
+    for args in (("validate",), ("run", "--word", "ab")):
+        result = runner.invoke(main, [*args, "--machine", str(path)])
+        assert result.exit_code == 2
+        assert "padded" in result.output
+
+
 def test_overflowing_machine_still_writes_strict_json(runner, tmp_path):
     path = _broken_machine_file(tmp_path / "huge.2qfa", scale=1e200)
     validated = invoke(runner, "validate", "--machine", str(path), "--format", "structured")

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoqfa.errors import TableCompletionError
 from twoqfa.machine import (
@@ -123,6 +125,13 @@ def test_nan_column_is_rejected():
     assert "'x'" in str(info.value)
 
 
+def test_row_under_a_symbol_outside_the_tape_is_rejected():
+    table = _tiny_table([("u0", "y", "u1", 1)])
+    with pytest.raises(TableCompletionError) as info:
+        complete_partial_table(table)
+    assert "'y'" in str(info.value)
+
+
 def test_right_marker_only_table_pads_the_other_eight_states():
     # the four right-marker images of the 12-state scanner, nothing else
     scanner = build_m1()
@@ -188,6 +197,9 @@ def test_spec_constructor_rejects_malformed_machines(m1):
         {"symbol_unitaries": {"#": np.eye(2, dtype=complex)}},
         {"symbol_unitaries": {**good["symbol_unitaries"], "x": np.full((2, 2), np.nan)}},
         {"symbol_unitaries": {**good["symbol_unitaries"], "$": np.full((2, 2), np.inf)}},
+        {"padded_entries": (("y", "u0"),)},
+        {"padded_entries": (("x", "u9"),)},
+        {"padded_entries": (("x", "u0"), ("x", "u0"))},
     ):
         with pytest.raises(ValueError):
             TwoWayQfaSpec(**{**good, **bad})
@@ -208,3 +220,99 @@ def test_validator_fails_a_machine_whose_checks_are_not_finite(entry):
     assert report.unitarity_max_deviation == math.inf
     assert not report.unitarity_ok
     assert not report.all_ok
+
+
+def _touched_rows(spec: TwoWayQfaSpec, symbol: str) -> np.ndarray:
+    """The rows that the given (not padded) columns of `symbol` touch."""
+    padded = {spec.state_index(s) for sym, s in spec.padded_entries if sym == symbol}
+    given = [j for j in range(len(spec.states)) if j not in padded]
+    return np.flatnonzero(spec.symbol_unitaries[symbol][:, given].any(axis=1))
+
+
+def _assert_padding_is_basis_off_the_touched_rows(spec: TwoWayQfaSpec) -> None:
+    """Each padded column is a single 1.0 off the touched rows, or lives on them."""
+    for symbol, state in spec.padded_entries:
+        column = spec.symbol_unitaries[symbol][:, spec.state_index(state)]
+        off = np.ones(len(column), dtype=bool)
+        off[_touched_rows(spec, symbol)] = False
+        if column[off].any():
+            assert np.count_nonzero(column) == 1, (symbol, state)
+            assert column[np.flatnonzero(column)[0]] == 1.0, (symbol, state)
+
+
+@pytest.mark.parametrize("machine", ["m1", "m2_5", "m3_5", "m2_20", "m3_20"])
+def test_bundled_padding_is_basis_off_the_touched_rows(machine, request):
+    _assert_padding_is_basis_off_the_touched_rows(request.getfixturevalue(machine))
+
+
+@st.composite
+def _partial_tables(draw):
+    """A random table: per symbol, basis and superposition columns on random rows.
+
+    Each symbol puts some columns of a random unitary on part of a random
+    row set and unit basis vectors on the rest, and gives these columns to
+    random source states.
+    """
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = tuple(f"u{i}" for i in range(n))
+    roles = draw(st.lists(st.sampled_from("nar"), min_size=n - 1, max_size=n - 1))
+    rows = []
+    for symbol in ("#", "x", "$"):
+        targets = rng.permutation(n)[: draw(st.integers(0, n))]
+        split = draw(st.integers(0, len(targets)))
+        mixed, basis = targets[:split], targets[split:]
+        columns = [np.eye(n)[:, r] for r in basis]
+        if mixed.size:
+            z = rng.standard_normal((mixed.size,) * 2) + 1j * rng.standard_normal((mixed.size,) * 2)
+            unitary = np.linalg.qr(z)[0]
+            for k in range(draw(st.integers(0, mixed.size))):
+                column = np.zeros(n, dtype=complex)
+                column[mixed] = unitary[:, k]
+                columns.append(column)
+        sources = rng.permutation(n)[: len(columns)]
+        for source, column in zip(sources, columns):
+            rows += [
+                (states[source], symbol, states[t], complex(column[t]))
+                for t in np.flatnonzero(column)
+            ]
+    return PartialTable(
+        states=states,
+        input_alphabet=("x",),
+        initial_state=states[0],
+        accept_states=frozenset(s for s, r in zip(states[1:], roles) if r == "a"),
+        reject_states=frozenset(s for s, r in zip(states[1:], roles) if r == "r"),
+        head_fn={s: 0 for s in states},
+        rows=rows,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partial_tables())
+def test_completion_keeps_given_columns_and_pads_by_one_rule(table):
+    spec = complete_partial_table(table)
+    given_columns: dict[tuple[str, str], np.ndarray] = {}
+    for source, symbol, target, amplitude in table.rows:
+        column = given_columns.setdefault((symbol, source), np.zeros(len(spec.states), complex))
+        column[spec.state_index(target)] = amplitude
+    assert spec.padded_entries == tuple(
+        (symbol, s)
+        for symbol in spec.tape_alphabet
+        for s in spec.states
+        if (symbol, s) not in given_columns
+    )
+    for (symbol, source), column in given_columns.items():
+        assert np.array_equal(spec.symbol_unitaries[symbol][:, spec.state_index(source)], column)
+    _assert_padding_is_basis_off_the_touched_rows(spec)
+    halting = spec.accept_states | spec.reject_states
+    for symbol in spec.tape_alphabet:
+        matrix = spec.symbol_unitaries[symbol]
+        assert np.abs(matrix.conj().T @ matrix - np.eye(len(spec.states))).max() < 1e-12
+        # non-halting padded sources take the untouched rejecting rows first
+        touched = set(_touched_rows(spec, symbol).tolist())
+        free = [
+            i for i, s in enumerate(spec.states) if s in spec.reject_states and i not in touched
+        ]
+        runners = [s for sym, s in spec.padded_entries if sym == symbol and s not in halting]
+        for source, row in zip(runners, free):
+            assert matrix[row, spec.state_index(source)] == 1.0

@@ -51,6 +51,8 @@ def _minimal_text() -> str:
         (lambda t: t.replace("\nrow q0 q0 1.0 0.0", "\nrow q0 q0 1.0 0x1", 1), "number"),
         (lambda t: t.replace("\nrow q0 q0 1.0 ", "\nrow q0 q0 nan ", 1), "non-finite"),
         (lambda t: t.replace("\nrow q0 q0 1.0 ", "\nrow q0 q0 1e400 ", 1), "non-finite"),
+        (lambda t: t.replace("\nmatrix #\n", "\npadded zz nosuchstate\nmatrix #\n"), "padded"),
+        (lambda t: t.replace("\nmatrix #\n", "\npadded # q0\npadded # q0\nmatrix #\n"), "padded"),
     ],
 )
 def test_malformed_text_is_rejected(mangle, hint):
