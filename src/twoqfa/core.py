@@ -7,12 +7,12 @@ every target state by its head direction.  After each step the accepting
 and rejecting components are measured off and accumulated without
 renormalising the remainder.
 
-``run`` takes one of two engines, chosen once per machine from the nonzeros
-of its matrices.  A machine whose matrices are more than half zeros, as the
-bundled machines are, has few configurations live at once and few
-transitions out of each, so ``_Frontier`` steps the live configurations one
-by one.  A denser machine, such as a Haar-random one, soon makes most of its
-tape live, so ``_Evolution`` multiplies the live block with whole matrices.
+``run`` and ``step`` take one of two engines, chosen once per machine from
+the nonzeros of its matrices.  A machine whose matrices are more than half
+zeros, as the bundled machines are, has few configurations live at once and
+few transitions out of each, so ``_Frontier`` steps them one by one.  A
+denser machine, such as a Haar-random one, soon makes most of its tape
+live, so ``_Evolution`` multiplies the whole array, one product per symbol.
 """
 
 from __future__ import annotations
@@ -77,17 +77,24 @@ class AmplitudeVector:
 
     def entries(self) -> dict[Configuration, complex]:
         """Nonzero amplitudes keyed by configuration, in state order."""
-        out: dict[Configuration, complex] = {}
-        rows, cols = np.nonzero(self.data)
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            out[Configuration(self.spec.states[row], col)] = complex(self.data[row, col])
-        return out
+        states = self.spec.states
+        items = _nonzeros(self.data).items()
+        return {Configuration(states[row], col): amplitude for (row, col), amplitude in items}
 
     def norm_squared(self) -> float:
         return _norm_squared(self.data)
 
     def copy(self) -> "AmplitudeVector":
         return AmplitudeVector(self.spec, self.tape_length, self.data.copy())
+
+
+def _nonzeros(data: np.ndarray) -> dict[tuple[int, int], complex]:
+    """The nonzero entries of `data` keyed by (row, column), in row order."""
+    # np.nonzero on the whole array costs about five times any() on it
+    rows = np.flatnonzero(data.any(axis=1))
+    live, cols = np.nonzero(data[rows])
+    rows = rows[live]
+    return dict(zip(zip(rows.tolist(), cols.tolist()), data[rows, cols].tolist()))
 
 
 def tape_for(word: str) -> str:
@@ -115,36 +122,33 @@ def initial_vector(spec: TwoWayQfaSpec, word: str) -> AmplitudeVector:
 class _Evolution:
     """One-step evolution operator for a fixed machine and word.
 
-    Only the live block is touched: the rows (states) and columns (head
-    positions) that carry any amplitude.  Each live column is multiplied by
-    the matrix of the symbol under it, restricted to the live rows, and
-    entry (t, col) of the product lands at (t, col + move[t]) on the
-    circular tape.  For a fixed target row that shift is one constant, so
-    distinct columns land in distinct cells and one assignment suffices.
-    data is the amplitude array that ``step`` advances; ``run`` sets it.
+    Each tape symbol's matrix multiplies the columns (head positions) that
+    hold the symbol, and entry (t, col) of the product lands at flat cell
+    t * length + (col + move[t]) mod length of the circular tape.  The word
+    fixes both index sets, so they are found once per symbol.  For a fixed
+    target row the shift is a bijection of the columns, so every cell of
+    the result is written exactly once.  data is the amplitude array that
+    ``step`` advances, starting from the initial configuration.
     """
 
     def __init__(self, spec: TwoWayQfaSpec, word: str):
         self.spec = spec
-        self.symbols = np.array(_tape_symbols(spec, word))
-        self.matrices = spec._matrices
-        self.moves = spec._move_column
-        self.targets = np.arange(len(spec.states))[:, np.newaxis]
-        self.data: np.ndarray | None = None
+        symbols = np.array(_tape_symbols(spec, word))
+        length = symbols.size
+        offsets = np.arange(len(spec.states))[:, np.newaxis] * length
+        self.groups = []
+        for symbol in np.unique(symbols).tolist():
+            cols = np.flatnonzero(symbols == symbol)
+            cells = offsets + (cols + spec._move_column) % length
+            self.groups.append((spec._matrices[symbol], cols, cells))
+        self.data = initial_vector(spec, word).data
 
     def apply(self, data: np.ndarray) -> np.ndarray:
-        rows = np.flatnonzero(data.any(axis=1))
-        live = data[rows]
-        cols = np.flatnonzero(live.any(axis=0))
-        block = live[:, cols]
-        symbols = self.symbols[cols]
-        mixed = np.empty((data.shape[0], cols.size), dtype=data.dtype)
-        # np.unique here would cost about as much as the products at N <= 10
-        for symbol in set(symbols.tolist()):
-            held = symbols == symbol
-            mixed[:, held] = self.matrices[symbol][:, rows] @ block[:, held]
-        out = np.zeros_like(data)
-        out[self.targets, (cols + self.moves) % data.shape[1]] = mixed
+        """One step's products of `data`, not yet measured, in a new array."""
+        out = np.empty(data.shape, dtype=np.complex128)
+        cells = out.reshape(-1)
+        for matrix, cols, targets in self.groups:
+            cells[targets] = matrix @ data[:, cols]
         return out
 
     def step(self) -> list[float]:
@@ -160,8 +164,8 @@ class _Frontier:
     configs maps (state row, position) to a nonzero amplitude and starts at
     the initial configuration.  A step sends each configuration through the
     transitions of its column, sums the products per target configuration
-    and only then measures, so amplitudes interfere before the halting mass
-    is taken off.
+    (``advance``) and only then measures, so amplitudes interfere before the
+    halting mass is taken off.
     """
 
     def __init__(self, spec: TwoWayQfaSpec, word: str):
@@ -171,8 +175,8 @@ class _Frontier:
         start = spec.state_index(spec.initial_state)
         self.configs: dict[tuple[int, int], complex] = {(start, 0): 1 + 0j}
 
-    def step(self) -> list[float]:
-        """One step and its measurement; returns the residual, accept and reject mass."""
+    def advance(self) -> dict[tuple[int, int], complex]:
+        """One step's products, summed per target configuration and not yet measured."""
         length = len(self.symbols)
         transitions = self.transitions
         summed: dict[tuple[int, int], complex] = {}
@@ -180,11 +184,15 @@ class _Frontier:
             for target, move, weight in transitions[position][state]:
                 key = (target, (position + move) % length)
                 summed[key] = summed.get(key, 0j) + weight * amplitude
+        return summed
+
+    def step(self) -> list[float]:
+        """One step and its measurement; returns the residual, accept and reject mass."""
         roles = self.spec._halt_role
         masses = [0.0, 0.0, 0.0]
         live = {}
-        for key, amplitude in summed.items():
-            if not amplitude:  # cancelled exactly: not live, as in the live block
+        for key, amplitude in self.advance().items():
+            if not amplitude:  # cancelled exactly: a zero entry, as in the array
                 continue
             role = roles[key[0]]
             # a Python float ** raises OverflowError where this gives inf
@@ -196,11 +204,17 @@ class _Frontier:
 
 
 def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVector:
-    """Apply one evolution step of `spec` on the tape of `word`."""
-    if vector.tape_length != len(word) + 2:
-        raise ValueError("vector tape length does not match the word")
-    evolution = _Evolution(spec, word)
-    return AmplitudeVector(spec, vector.tape_length, evolution.apply(vector.data))
+    """Apply one evolution step of `spec` on the tape of `word`, on the engine of ``run``."""
+    if vector.data.shape != (len(spec.states), len(word) + 2):
+        raise ValueError("vector shape does not match the machine and word")
+    if not spec._sparse:
+        return AmplitudeVector(spec, vector.tape_length, _Evolution(spec, word).apply(vector.data))
+    frontier = _Frontier(spec, word)
+    frontier.configs = _nonzeros(vector.data)
+    out = AmplitudeVector(spec, vector.tape_length)
+    for (row, col), amplitude in frontier.advance().items():
+        out.data[row, col] = amplitude
+    return out
 
 
 def _norm_squared(data: np.ndarray) -> float:
@@ -218,12 +232,12 @@ def _measure_off(spec: TwoWayQfaSpec, data: np.ndarray) -> tuple[float, float]:
 def measure(
     spec: TwoWayQfaSpec, vector: AmplitudeVector
 ) -> tuple[float, float, AmplitudeVector]:
-    """Project out the halting components.
+    """Project out the halting components of `vector`, a vector of `spec`.
 
     Returns the accept gain, the reject gain and the residual vector with
     halting amplitudes zeroed.  The residual is not renormalised.
     """
-    residual = vector.copy()
+    residual = AmplitudeVector(spec, vector.tape_length, vector.data.copy())
     gain_accept, gain_reject = _measure_off(spec, residual.data)
     return gain_accept, gain_reject, residual
 
@@ -244,8 +258,8 @@ def run(
     a non-finite value also ends the run with halted=False.
 
     Every step of a run takes the engine the machine chose when its spec
-    was built: the frontier of live configurations when its matrices are
-    more than half zeros, the live-block matmul otherwise.
+    was built, as ``step`` does: the frontier of live configurations when
+    its matrices are more than half zeros, the whole-array matmul otherwise.
     """
     if max_steps is None:
         max_steps = MAX_STEPS_FACTOR * spec.n_paths * (len(word) + 2)
@@ -253,22 +267,16 @@ def run(
         raise ValueError("max_steps must be at least 1")
     if not 0 < halt_threshold < 1:
         raise ValueError("halt_threshold must lie strictly between 0 and 1")
-    if spec._sparse:
-        engine = _Frontier(spec, word)
-    else:
-        engine = _Evolution(spec, word)
-        engine.data = initial_vector(spec, word).data
+    engine = (_Frontier if spec._sparse else _Evolution)(spec, word)
 
     p_accept = 0.0
     p_reject = 0.0
     residual_mass = 1.0
-    steps = 0
     halted = False
     records: list[tuple[float, float, float]] = []
 
-    for _ in range(max_steps):
+    for steps in range(1, max_steps + 1):
         residual_mass, gain_accept, gain_reject = engine.step()
-        steps += 1
         p_accept += gain_accept
         p_reject += gain_reject
         if trace:

@@ -113,13 +113,13 @@ class TwoWayQfaSpec:
         # symbol's matrix, so that a run's set-up is one pass over the word
         self._symbol_index = {s: i for i, s in enumerate(self.input_alphabet, start=1)}
         self._matrices = [self.symbol_unitaries[s] for s in self.tape_alphabet]
-        # the engine of run(), fixed by the machine: the frontier steps each
-        # live configuration through the nonzeros of its column, the live
-        # block multiplies whole matrices, so mostly-zero matrices go to the
-        # frontier.  The bundled machines at N <= 30 hold 0.1-8.3% nonzeros,
-        # 1.0-1.6 a column, Haar-random machines 100%.  The count cannot see
-        # a small dense block that a large sparse machine keeps busy; such a
-        # machine runs, slowly, on the frontier.
+        # the engine of run() and step(), fixed by the machine: the frontier
+        # steps each live configuration through the nonzeros of its column,
+        # the dense engine multiplies whole matrices, so mostly-zero matrices
+        # go to the frontier.  The bundled machines at N <= 30 hold 0.1-8.3%
+        # nonzeros, 1.0-1.6 a column, Haar-random machines 100%.  The count
+        # cannot see a small dense block that a large sparse machine keeps
+        # busy; such a machine runs, slowly, on the frontier.
         nonzero = [matrix != 0 for matrix in self._matrices]
         self._sparse = 2 * sum(map(np.count_nonzero, nonzero)) < len(nonzero) * n * n
         # for the frontier, per tape symbol (in tape_alphabet order) and

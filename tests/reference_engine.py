@@ -3,24 +3,28 @@
 ``DenseEvolution`` multiplies the whole state-by-position amplitude array by
 every symbol matrix on every step and masks each product down to that
 symbol's positions, then moves each target row with ``np.roll``.  It is slow
-but has no bookkeeping to get wrong, so the frontier stepping and the
-live-block engine in ``twoqfa.core`` are checked against it.
+but has no bookkeeping to get wrong, so both engines in ``twoqfa.core``,
+the frontier stepping and the per-symbol matmul, are checked against it.
 ``reference_run`` is ``run`` rebuilt on it: its own initial array, halting
 masks read from the state names and the same step budget and stopping
 rules, so no code of ``run`` or of the spec's cached rows is shared.
-``dense_engine()`` swaps it into ``twoqfa.core`` so that ``step`` uses it.
+``reference_step`` is ``step`` on it, with nothing of ``twoqfa.core``
+between the amplitude array and the product.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 
-from twoqfa import core
-from twoqfa.core import DEFAULT_HALT_THRESHOLD, MAX_STEPS_FACTOR, RunResult, tape_for
+from twoqfa.core import (
+    DEFAULT_HALT_THRESHOLD,
+    MAX_STEPS_FACTOR,
+    AmplitudeVector,
+    RunResult,
+    tape_for,
+)
 from twoqfa.machine import TwoWayQfaSpec
 
 
@@ -83,8 +87,7 @@ def reference_run(spec: TwoWayQfaSpec, word: str, max_steps=None,
                      tuple(records) if trace else None)
 
 
-@contextmanager
-def dense_engine():
-    """Make ``twoqfa.core.step`` use the dense reference engine inside the block."""
-    with mock.patch.object(core, "_Evolution", DenseEvolution):
-        yield
+def reference_step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVector:
+    """``twoqfa.core.step`` on the dense engine: one unmeasured step of `vector`."""
+    data = DenseEvolution(spec, word).apply(vector.data)
+    return AmplitudeVector(spec, vector.tape_length, data)

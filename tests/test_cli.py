@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import twoqfa
 from twoqfa.cli import main
 from twoqfa.machine import TwoWayQfaSpec
 from twoqfa.machines import build_m1
@@ -320,3 +325,14 @@ def test_overflowing_machine_still_writes_strict_json(runner, tmp_path):
     assert record["p_residual"] is None
     assert record["halted"] is False
     assert record["steps"] == 2
+
+
+def test_the_package_and_its_cli_load_without_scipy():
+    """numpy is the only numeric dependency; scipy may be installed but is never imported."""
+    code = ("import sys, twoqfa, twoqfa.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(twoqfa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -59,10 +59,27 @@ def test_step_splits_into_four_equal_paths():
         assert got[key] == pytest.approx(amplitude)
 
 
-def test_step_rejects_vector_of_wrong_length(m1):
-    v = initial_vector(m1, "aa")
-    with pytest.raises(ValueError):
-        step(m1, "aaa", v)
+@pytest.mark.parametrize(
+    "machine, word, vector_machine, vector_word",
+    [("m1", "aaa", "m1", "aa"), ("m1", "ab", "m2_5", "()"), ("m2_5", "()", "m1", "ab")],
+    ids=["tape", "more_states", "fewer_states"],
+)
+def test_step_rejects_vector_of_wrong_length(request, machine, word, vector_machine, vector_word):
+    v = initial_vector(request.getfixturevalue(vector_machine), vector_word)
+    # numpy's own broadcast error is a ValueError too, so the message is pinned
+    with pytest.raises(ValueError, match="does not match"):
+        step(request.getfixturevalue(machine), word, v)
+
+
+@pytest.mark.parametrize(
+    "machine, vector_machine, vector_word",
+    [("m1", "m2_5", "()"), ("m2_5", "m1", "ab")],
+    ids=["more_states", "fewer_states"],
+)
+def test_measure_rejects_vector_of_another_machine(request, machine, vector_machine, vector_word):
+    v = initial_vector(request.getfixturevalue(vector_machine), vector_word)
+    with pytest.raises(ValueError, match="does not match"):
+        measure(request.getfixturevalue(machine), v)
 
 
 def test_measure_collects_fully_accepting_vector(m1):

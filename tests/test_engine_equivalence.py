@@ -1,11 +1,11 @@
 """The simulator and the derived validator against their references.
 
-``run`` steps a frontier of live configurations on a machine whose
-matrices are mostly zeros and the live block of the amplitude array on a
-denser one; ``reference_run`` takes every step, and ``dense_engine()``
-every ``step`` call, on the dense engine.  They sum the same products in a
-different order, so amplitudes and probabilities agree to 1e-12, not bit
-for bit, while step counts and halting agree exactly.
+``run`` and ``step`` advance a frontier of live configurations on a
+machine whose matrices are mostly zeros and multiply the whole amplitude
+array, one matrix per tape symbol, on a denser one; ``reference_run`` and
+``reference_step`` take every step on the dense engine.  They sum the same
+products in a different order, so amplitudes and probabilities agree to
+1e-12, not bit for bit, while step counts and halting agree exactly.
 
 ``validate`` derives local probability and separability from unitarity;
 the masked-matrix validator computes them, so on the same machines every
@@ -19,7 +19,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
-from reference_engine import dense_engine, reference_run
+from reference_engine import reference_run, reference_step
 from reference_validate import masked_validate
 
 from twoqfa import core
@@ -106,7 +106,7 @@ def _random_machines(draw):
 # Twelve Haar-random states on an 86-letter word (1,056 cells): the live
 # configurations grow by 20 a step until, from step 44 on, all 880 cells of
 # the ten running states are live; the run halts after 574 steps, every one
-# of them on the live-block engine.
+# of them on the dense engine.
 _LONG_TAPE_HAAR = (
     _machine(("a", "b"), "haar", 0, [i % 3 - 1 for i in range(12)], "n" * 9 + "ar"),
     "ab" * 43,
@@ -136,8 +136,7 @@ def _assert_steps_agree(spec, word, steps):
     want = got.copy()
     for _ in range(steps):
         got = step(spec, word, got)
-        with dense_engine():
-            want = step(spec, word, want)
+        want = reference_step(spec, word, want)
         assert np.abs(got.data - want.data).max() <= TOLERANCE
         _, _, got = measure(spec, got)
         _, _, want = measure(spec, want)
@@ -156,33 +155,37 @@ def test_random_machines_run_alike_on_both_engines(case):
     _assert_runs_agree(*case)
 
 
-def _engine_of(spec: TwoWayQfaSpec) -> str:
-    """The engine ``run`` takes on `spec`, seen from the class it builds."""
+def _engines_of(spec: TwoWayQfaSpec) -> tuple[str, str]:
+    """The engines ``run`` and ``step`` take on `spec`, seen from the class each builds."""
     word = spec.input_alphabet[0]
-    with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier, \
-            mock.patch.object(core, "_Evolution", wraps=core._Evolution) as evolution:
-        run(spec, word, max_steps=1)
-    assert frontier.call_count + evolution.call_count == 1
-    return "frontier" if frontier.called else "live block"
+    engines = []
+    for call in (lambda: run(spec, word, max_steps=1),
+                 lambda: step(spec, word, initial_vector(spec, word))):
+        with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier, \
+                mock.patch.object(core, "_Evolution", wraps=core._Evolution) as evolution:
+            call()
+        assert frontier.call_count + evolution.call_count == 1
+        engines.append("frontier" if frontier.called else "dense")
+    return tuple(engines)
 
 
 def test_each_machine_family_takes_its_engine(
     m1, m2_2, m2_5, m2_10, m2_20, m3_2, m3_5, m3_10, m3_20
 ):
     bundled = [m1, m2_2, m2_5, m2_10, m2_20, m3_2, m3_5, m3_10, m3_20]
-    assert {_engine_of(spec) for spec in bundled} == {"frontier"}
+    assert {_engines_of(spec) for spec in bundled} == {("frontier", "frontier")}
     haar = [
         _machine(("a", "b"), "haar", seed, [seed % 3 - 1] * n, "n" * (n - 5) + "aarr")
         for seed, n in enumerate((16, 24, 32, 48))
     ]
-    assert {_engine_of(spec) for spec in haar} == {"live block"}
+    assert {_engines_of(spec) for spec in haar} == {("dense", "dense")}
     for spec in (m2_5, haar[0]):
-        assert _engine_of(loads_spec(dumps_spec(spec))) == _engine_of(spec)
+        assert _engines_of(loads_spec(dumps_spec(spec))) == _engines_of(spec)
 
 
 def test_random_machines_reach_both_engines():
-    for engine in ("frontier", "live block"):
-        find(_random_machines(), lambda case: _engine_of(case[0]) == engine)
+    for engine in ("frontier", "dense"):
+        find(_random_machines(), lambda case: _engines_of(case[0]) == (engine, engine))
 
 
 @settings(max_examples=60, deadline=None)
