@@ -10,9 +10,15 @@ renormalising the remainder.
 ``run`` and ``step`` take one of two engines, chosen once per machine from
 the nonzeros of its matrices.  A machine whose matrices are more than half
 zeros, as the bundled machines are, has few configurations live at once and
-few transitions out of each, so ``_Frontier`` steps them one by one.  A
-denser machine, such as a Haar-random one, soon makes most of its tape
-live, so ``_Evolution`` multiplies the whole array, one product per symbol.
+few transitions out of each, so ``_Frontier`` steps them one by one.  It
+keys a configuration by the int position * S + state and looks up how that
+key steps in a flat table of S entries per tape cell; most entries of the
+bundled machines are pure relabels, one transition of weight exactly 1 to a
+running state, which move an amplitude without multiplying it.  A denser
+machine, such as a Haar-random one, soon makes most of its tape live, so
+``_Evolution`` multiplies the whole array, one product per symbol.  Both
+build their index tables once per word; ``step`` keeps those of the last
+machine and word it was called with.
 """
 
 from __future__ import annotations
@@ -78,8 +84,8 @@ class AmplitudeVector:
     def entries(self) -> dict[Configuration, complex]:
         """Nonzero amplitudes keyed by configuration, in state order."""
         states = self.spec.states
-        items = _nonzeros(self.data).items()
-        return {Configuration(states[row], col): amplitude for (row, col), amplitude in items}
+        rows, cols, values = _nonzeros(self.data)
+        return {Configuration(states[row], col): a for row, col, a in zip(rows, cols, values)}
 
     def norm_squared(self) -> float:
         return _norm_squared(self.data)
@@ -88,13 +94,13 @@ class AmplitudeVector:
         return AmplitudeVector(self.spec, self.tape_length, self.data.copy())
 
 
-def _nonzeros(data: np.ndarray) -> dict[tuple[int, int], complex]:
-    """The nonzero entries of `data` keyed by (row, column), in row order."""
+def _nonzeros(data: np.ndarray) -> tuple[list[int], list[int], list[complex]]:
+    """The rows, columns and values of the nonzero entries of `data`, in row order."""
     # np.nonzero on the whole array costs about five times any() on it
     rows = np.flatnonzero(data.any(axis=1))
     live, cols = np.nonzero(data[rows])
     rows = rows[live]
-    return dict(zip(zip(rows.tolist(), cols.tolist()), data[rows, cols].tolist()))
+    return rows.tolist(), cols.tolist(), data[rows, cols].tolist()
 
 
 def tape_for(word: str) -> str:
@@ -119,32 +125,91 @@ def initial_vector(spec: TwoWayQfaSpec, word: str) -> AmplitudeVector:
     return vec
 
 
-class _Evolution:
-    """One-step evolution operator for a fixed machine and word.
+def _symbol_groups(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
+    """Per tape symbol on the tape: its matrix, its columns and their flat target cells.
 
-    Each tape symbol's matrix multiplies the columns (head positions) that
-    hold the symbol, and entry (t, col) of the product lands at flat cell
-    t * length + (col + move[t]) mod length of the circular tape.  The word
-    fixes both index sets, so they are found once per symbol.  For a fixed
-    target row the shift is a bijection of the columns, so every cell of
-    the result is written exactly once.  data is the amplitude array that
-    ``step`` advances, starting from the initial configuration.
+    Entry (t, col) of a symbol's product lands at flat cell
+    t * length + (col + move[t]) mod length of the circular tape.  For a
+    fixed target row the shift is a bijection of the columns, so every cell
+    of a step's result is written exactly once.
+    """
+    symbols = np.array(symbols)
+    length = symbols.size
+    offsets = np.arange(len(spec.states))[:, np.newaxis] * length
+    groups = []
+    for symbol in np.unique(symbols).tolist():
+        cols = np.flatnonzero(symbols == symbol)
+        cells = offsets + (cols + spec._move_column) % length
+        groups.append((spec._matrices[symbol], cols, cells))
+    return groups
+
+
+def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
+    """The frontier's step entry (see ``TwoWayQfaSpec._steps``) for every key of the tape.
+
+    Key position * S + state indexes the list.  Each cell contributes its
+    symbol's prebuilt S entries; only the end markers can move a head off
+    the tape, so only their wrapping entries are rebuilt, with the deltas
+    that leave the tape shifted by the tape's L * S keys.
+    """
+    steps = spec._steps
+    table = []
+    for symbol in symbols:
+        table += steps[symbol]
+    n = len(spec.states)
+    shift = len(table)
+    left, right = spec._wrapping
+    for offset, sign, wrapping in ((0, 1, left), (shift - n, -1, right)):
+        for source, off in wrapping:
+            entry = table[offset + source]
+            if entry.__class__ is int:
+                entry += sign * shift
+            else:
+                entry = tuple(
+                    (delta + sign * shift * wraps, weight, role)
+                    for (delta, weight, role), wraps in zip(entry, off)
+                )
+            table[offset + source] = entry
+    return table
+
+
+def _word_tables(spec: TwoWayQfaSpec, word: str) -> list:
+    """The index tables of the machine's engine for the tape of `word`."""
+    symbols = _tape_symbols(spec, word)
+    return (_flat_table if spec._sparse else _symbol_groups)(spec, symbols)
+
+
+#: (spec, word, tables) of the last ``step`` call.  Stepwise loops call
+#: ``step`` on one machine and word many times; the tables are fixed by the
+#: two and never written, so they are built once.  A spec is matched by
+#: identity, which its docstring allows: a changed machine needs a new spec.
+_last_step_tables: tuple = (None, None, None)
+
+
+def _step_tables(spec: TwoWayQfaSpec, word: str) -> list:
+    global _last_step_tables
+    last_spec, last_word, tables = _last_step_tables
+    if last_spec is not spec or last_word != word:
+        tables = _word_tables(spec, word)
+        _last_step_tables = (spec, word, tables)
+    return tables
+
+
+class _Evolution:
+    """One-step evolution of a whole amplitude array, one matmul per tape symbol.
+
+    groups comes from ``_symbol_groups``; data is the amplitude array that
+    ``step`` advances.
     """
 
-    def __init__(self, spec: TwoWayQfaSpec, word: str):
+    def __init__(self, spec: TwoWayQfaSpec, groups: list, data: np.ndarray):
         self.spec = spec
-        symbols = np.array(_tape_symbols(spec, word))
-        length = symbols.size
-        offsets = np.arange(len(spec.states))[:, np.newaxis] * length
-        self.groups = []
-        for symbol in np.unique(symbols).tolist():
-            cols = np.flatnonzero(symbols == symbol)
-            cells = offsets + (cols + spec._move_column) % length
-            self.groups.append((spec._matrices[symbol], cols, cells))
-        self.data = initial_vector(spec, word).data
+        self.groups = groups
+        self.data = data
 
-    def apply(self, data: np.ndarray) -> np.ndarray:
-        """One step's products of `data`, not yet measured, in a new array."""
+    def apply(self) -> np.ndarray:
+        """One step's products of data, not yet measured, in a new array."""
+        data = self.data
         out = np.empty(data.shape, dtype=np.complex128)
         cells = out.reshape(-1)
         for matrix, cols, targets in self.groups:
@@ -153,7 +218,7 @@ class _Evolution:
 
     def step(self) -> list[float]:
         """One step of data and its measurement; returns the residual, accept and reject mass."""
-        self.data = self.apply(self.data)
+        self.data = self.apply()
         accept, reject = _measure_off(self.spec, self.data)
         return [_norm_squared(self.data), accept, reject]
 
@@ -161,59 +226,76 @@ class _Evolution:
 class _Frontier:
     """The live configurations of one run, stepped one configuration at a time.
 
-    configs maps (state row, position) to a nonzero amplitude and starts at
-    the initial configuration.  A step sends each configuration through the
-    transitions of its column, sums the products per target configuration
-    (``advance``) and only then measures, so amplitudes interfere before the
-    halting mass is taken off.
+    configs maps the key position * S + state of each live configuration to
+    its nonzero amplitude; table, from ``_flat_table``, holds the step entry
+    of every key.  A pure relabel moves the amplitude to key + entry as it
+    is; any other entry sends each product to the running, accepting or
+    rejecting sums by the role stored with it.  Products are summed per
+    target key (``advance``) before the halting mass is taken off, so
+    amplitudes interfere first.
     """
 
-    def __init__(self, spec: TwoWayQfaSpec, word: str):
-        self.spec = spec
-        self.symbols = _tape_symbols(spec, word)
-        self.transitions = [spec._transitions[s] for s in self.symbols]
-        start = spec.state_index(spec.initial_state)
-        self.configs: dict[tuple[int, int], complex] = {(start, 0): 1 + 0j}
+    def __init__(self, table: list, configs: dict[int, complex]):
+        self.table = table
+        self.configs = configs
 
-    def advance(self) -> dict[tuple[int, int], complex]:
-        """One step's products, summed per target configuration and not yet measured."""
-        length = len(self.symbols)
-        transitions = self.transitions
-        summed: dict[tuple[int, int], complex] = {}
-        for (state, position), amplitude in self.configs.items():
-            for target, move, weight in transitions[position][state]:
-                key = (target, (position + move) % length)
-                summed[key] = summed.get(key, 0j) + weight * amplitude
-        return summed
+    def advance(self) -> tuple[dict[int, complex], dict[int, complex], dict[int, complex]]:
+        """One step's products summed per target key and not yet measured.
+
+        Returns the running, accepting and rejecting sums, each in the order
+        in which its keys were first reached.
+        """
+        table = self.table
+        sums = live, _, _ = {}, {}, {}
+        get = live.get
+        for key, amplitude in self.configs.items():
+            entry = table[key]
+            if entry.__class__ is int:
+                key += entry
+                live[key] = get(key, 0j) + amplitude
+            else:
+                for delta, weight, role in entry:
+                    target = sums[role]
+                    k = key + delta
+                    target[k] = target.get(k, 0j) + weight * amplitude
+        return sums
 
     def step(self) -> list[float]:
         """One step and its measurement; returns the residual, accept and reject mass."""
-        roles = self.spec._halt_role
-        masses = [0.0, 0.0, 0.0]
-        live = {}
-        for key, amplitude in self.advance().items():
-            if not amplitude:  # cancelled exactly: a zero entry, as in the array
-                continue
-            role = roles[key[0]]
-            # a Python float ** raises OverflowError where this gives inf
-            masses[role] += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
-            if not role:
-                live[key] = amplitude
+        live, accept, reject = self.advance()
+        if 0j in live.values():  # cancelled exactly: a zero entry, as in the array
+            live = {key: amplitude for key, amplitude in live.items() if amplitude}
         self.configs = live
-        return masses
+        return [_mass(live), _mass(accept) if accept else 0.0, _mass(reject) if reject else 0.0]
+
+
+def _mass(amplitudes: dict[int, complex]) -> float:
+    """The summed squared moduli of `amplitudes`, in their order."""
+    total = 0.0
+    for amplitude in amplitudes.values():
+        # a Python float ** raises OverflowError where this gives inf
+        total += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+    return total
 
 
 def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVector:
-    """Apply one evolution step of `spec` on the tape of `word`, on the engine of ``run``."""
-    if vector.data.shape != (len(spec.states), len(word) + 2):
+    """Apply one evolution step of `spec` on the tape of `word`, on the engine of ``run``.
+
+    The engine's index tables for the last spec and word are kept, so a loop
+    that steps one word builds them once.
+    """
+    n, length = vector.data.shape
+    if (n, length) != (len(spec.states), len(word) + 2):
         raise ValueError("vector shape does not match the machine and word")
+    tables = _step_tables(spec, word)
     if not spec._sparse:
-        return AmplitudeVector(spec, vector.tape_length, _Evolution(spec, word).apply(vector.data))
-    frontier = _Frontier(spec, word)
-    frontier.configs = _nonzeros(vector.data)
-    out = AmplitudeVector(spec, vector.tape_length)
-    for (row, col), amplitude in frontier.advance().items():
-        out.data[row, col] = amplitude
+        return AmplitudeVector(spec, length, _Evolution(spec, tables, vector.data).apply())
+    rows, cols, values = _nonzeros(vector.data)
+    keys = [col * n + row for row, col in zip(rows, cols)]
+    out = AmplitudeVector(spec, length)
+    for sums in _Frontier(tables, dict(zip(keys, values))).advance():
+        for key, amplitude in sums.items():
+            out.data[key % n, key // n] = amplitude
     return out
 
 
@@ -267,7 +349,12 @@ def run(
         raise ValueError("max_steps must be at least 1")
     if not 0 < halt_threshold < 1:
         raise ValueError("halt_threshold must lie strictly between 0 and 1")
-    engine = (_Frontier if spec._sparse else _Evolution)(spec, word)
+    tables = _word_tables(spec, word)
+    if spec._sparse:
+        # the initial configuration sits at position 0, so its key is its state
+        engine = _Frontier(tables, {spec.state_index(spec.initial_state): 1 + 0j})
+    else:
+        engine = _Evolution(spec, tables, initial_vector(spec, word).data)
 
     p_accept = 0.0
     p_reject = 0.0

@@ -40,7 +40,7 @@ class TwoWayQfaSpec:
     every deterministic tie-break in the package.  symbol_unitaries is keyed
     by tape symbol (input alphabet plus the two end markers).  The
     constructor fixes the engine from the matrices' nonzeros and, for the
-    frontier, lists each column's transitions once, so a changed machine
+    frontier, builds each column's step entry once, so a changed machine
     needs a new spec rather than edited matrices.  padded_entries names
     (tape symbol, source state) pairs, each at most once.
     """
@@ -122,19 +122,41 @@ class TwoWayQfaSpec:
         # busy; such a machine runs, slowly, on the frontier.
         nonzero = [matrix != 0 for matrix in self._matrices]
         self._sparse = 2 * sum(map(np.count_nonzero, nonzero)) < len(nonzero) * n * n
-        # for the frontier, per tape symbol (in tape_alphabet order) and
-        # source state: the (target, head move, amplitude) transitions, the
-        # nonzeros of that column in target order
-        self._transitions: list[list[list[tuple[int, int, complex]]]] = []
+        # for the frontier, which keys a configuration as position * n + state:
+        # per tape symbol (in tape_alphabet order) and source state, how the
+        # key of a configuration in that state on that symbol moves.  The
+        # target t, moved by move[t], is at key + move[t] * n + t - source.  A
+        # column whose one nonzero is exactly 1 on a running target is a pure
+        # relabel and is kept as that int; any other column as a tuple of
+        # (key delta, amplitude, halting role of the target), in target order.
+        # wrapping holds, for the left and the right marker, the sources whose
+        # column moves a target off the tape (move -1 on the left marker, +1 on
+        # the right) and, per transition, 1 if it does; a word's table shifts
+        # those deltas by L * n, the number of keys on its tape of L cells.
+        self._steps: list[list[int | tuple[tuple[int, complex, int], ...]]] = []
+        self._wrapping: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [])
         if self._sparse:
             moves = self._move_column[:, 0].tolist()
-            for matrix, mask in zip(self._matrices, nonzero):
+            last = len(self._matrices) - 1
+            for symbol, (matrix, mask) in enumerate(zip(self._matrices, nonzero)):
                 columns = [[] for _ in range(n)]
+                off_tape = [[] for _ in range(n)]
+                leaving = -1 if symbol == 0 else 1 if symbol == last else None
                 sources, targets = np.nonzero(mask.T)
                 weights = matrix[targets, sources].tolist()
                 for source, target, weight in zip(sources.tolist(), targets.tolist(), weights):
-                    columns[source].append((target, moves[target], weight))
-                self._transitions.append(columns)
+                    role = self._halt_role[target]
+                    columns[source].append((moves[target] * n + target - source, weight, role))
+                    off_tape[source].append(int(moves[target] == leaving))
+                self._steps.append([
+                    column[0][0] if len(column) == 1 and column[0][1] == 1 and not column[0][2]
+                    else tuple(column)
+                    for column in columns
+                ])
+                if leaving is not None:
+                    self._wrapping[symbol == last].extend(
+                        (source, tuple(off)) for source, off in enumerate(off_tape) if any(off)
+                    )
 
     @property
     def tape_alphabet(self) -> tuple[str, ...]:
@@ -291,6 +313,38 @@ def _specified_columns(
     return columns
 
 
+def _complement(block: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the complement of the orthonormal columns of `block`.
+
+    Every row of `block` must hold a nonzero.  Rows linked by a shared
+    column form a group; each group's complement comes from an SVD of that
+    group alone and is zero outside it.  One SVD of the whole block would
+    span the same space but leave round-off, up to about 2e-16, on the rows
+    of other groups.  The groups' complements follow the order of their
+    first rows.
+    """
+    hit = block != 0
+    pieces = []
+    left = np.ones(len(block), dtype=bool)
+    while left.any():
+        rows = np.zeros(len(block), dtype=bool)
+        rows[np.argmax(left)] = True
+        while True:
+            cols = hit[rows].any(axis=0)
+            grown = hit[:, cols].any(axis=1)
+            if (grown == rows).all():
+                break
+            rows = grown
+        left &= ~rows
+        size = np.count_nonzero(rows) - np.count_nonzero(cols)
+        if size:
+            u, _, _ = np.linalg.svd(block[np.ix_(rows, cols)], full_matrices=True)
+            piece = np.zeros((len(block), size), dtype=np.complex128)
+            piece[rows] = u[:, -size:]
+            pieces.append(piece)
+    return np.concatenate(pieces, axis=1)
+
+
 def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
     """Extend a partial table to a full machine with unitary matrices.
 
@@ -352,8 +406,7 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
         for source, row in [*routed.items(), *zip(leftovers, basis)]:
             matrix[row, index[source]] = 1.0
         if len(leftovers) > len(basis):
-            u, _, _ = np.linalg.svd(block[touched], full_matrices=True)
-            complement = u[:, len(specified_sources):]
+            complement = _complement(block[touched])
             for k, source in enumerate(leftovers[len(basis):]):
                 matrix[touched, index[source]] = complement[:, k]
 

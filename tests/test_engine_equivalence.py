@@ -14,9 +14,13 @@ flag agrees and every deviation agrees to 1e-12 (unitarity bit for bit).
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 from reference_engine import reference_run, reference_step
@@ -58,9 +62,43 @@ def _sparse_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     return z / norm if norm > 0 else z
 
 
-#: random matrices by kind: Haar unitaries are dense, permutations sparse
-#: from three states on, and contractions fall on either side of the rule
-_MATRICES = {"haar": _haar, "permutation": _permutation, "contraction": _sparse_contraction}
+def _relabel(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A permutation whose columns carry exactly 1 or, about half of them, a random phase."""
+    phases = np.where(rng.random(n) < 0.5, 1, np.exp(2j * np.pi * rng.random(n)))
+    return np.eye(n)[rng.permutation(n)] * phases
+
+
+def _meeting(sign: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Not unitary: a relabel matrix in which sources 1 and 2 meet on one target.
+
+    Source 0 splits evenly over states 1 and 2; source 1 goes to its target
+    with weight 1 and source 2 to the same target with weight `sign`.  When
+    states 1 and 2 share a head move, the two halves reach that target at
+    the same step, where sign -1 cancels them exactly.
+    """
+    matrix = _relabel(rng, n)
+    if n >= 3:
+        target = np.flatnonzero(matrix[:, 1])[0]
+        matrix[:, :3] = 0
+        matrix[[1, 2], 0] = np.sqrt(0.5)
+        matrix[target, 1] = 1
+        matrix[target, 2] = sign
+    return matrix
+
+
+#: random matrices by kind: Haar unitaries are dense, the permutations and
+#: relabels (permutations with weights exactly 1) sparse from three states on,
+#: and contractions fall on either side of the rule; merge and cancel are
+#: relabels whose paths meet with weights 1 and 1 or 1 and -1
+_MATRICES = {
+    "haar": _haar,
+    "permutation": _permutation,
+    "relabel": _relabel,
+    "contraction": _sparse_contraction,
+    "merge": partial(_meeting, 1),
+    "cancel": partial(_meeting, -1),
+}
+_UNITARY = {"haar", "permutation", "relabel"}
 
 
 def _machine(alphabet, kind, seed, moves, roles):
@@ -99,7 +137,7 @@ def _random_machines(draw):
     roles = draw(st.lists(st.sampled_from("nar"), min_size=n - 1, max_size=n - 1))
     spec = _machine(alphabet, kind, seed, moves, roles)
     word = draw(st.text(alphabet="".join(alphabet), max_size=12))
-    max_steps = draw(st.integers(1, 16)) if kind == "contraction" else None
+    max_steps = None if kind in _UNITARY else draw(st.integers(1, 16))
     return spec, word, max_steps
 
 
@@ -112,6 +150,17 @@ _LONG_TAPE_HAAR = (
     "ab" * 43,
     None,
 )
+
+
+# Weight-1 columns on both markers, onto running states (pure relabels) and
+# onto halting ones, among them relabels whose head wraps from the right
+# marker to the left one.
+_RELABEL = (_machine(("a", "b"), "relabel", 6, [0, 1, -1, 1, -1, 0], "nnnar"), "abba", None)
+# Two halves that meet on a running state, through two relabels: a step that
+# stores the second relabel instead of adding it loses half the amplitude.
+_MERGE = (_machine(("a", "b"), "merge", 7, [1, 0, 0, -1, 1, 0], "nnnnr"), "abab", 12)
+# The same meeting with weights 1 and -1: the halves cancel exactly at step 2.
+_CANCEL = (_machine(("a", "b"), "cancel", 0, [1, 0, 0, -1, 1, 0], "nnnnr"), "abab", 12)
 
 
 @st.composite
@@ -151,6 +200,9 @@ def test_bundled_machines_run_alike_on_both_engines(case):
 @settings(max_examples=150, deadline=None)
 @given(_random_machines())
 @example(_LONG_TAPE_HAAR)
+@example(_RELABEL)
+@example(_MERGE)
+@example(_CANCEL)
 def test_random_machines_run_alike_on_both_engines(case):
     _assert_runs_agree(*case)
 
@@ -190,6 +242,9 @@ def test_random_machines_reach_both_engines():
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_bundled_machines(), _random_machines()))
+@example(_RELABEL)
+@example(_MERGE)
+@example(_CANCEL)
 def test_stepwise_vectors_agree_on_both_engines(case):
     spec, word, max_steps = case
     _assert_steps_agree(spec, word, min(max_steps or 12, 12))
@@ -211,3 +266,49 @@ def test_validate_agrees_with_the_masked_matrix_validator(case, tolerance):
         assert abs(deviation - getattr(want, f"{check}_max_deviation")) <= TOLERANCE, check
     assert got.tolerance == want.tolerance
     assert got.padded_entries == want.padded_entries
+
+
+def _overflowing(name: str) -> tuple[TwoWayQfaSpec, str]:
+    """A non-unitary machine whose amplitudes overflow, and a word.
+
+    "scaled" is m1 with its matrix for "a" scaled by 1e200; "doubling" sends
+    state 0 to states 1 and 2 with weight 1 each, and both relabel back to
+    state 0, so its amplitude doubles every second step.
+    """
+    if name == "scaled":
+        base = build_m1()
+        unitaries = {s: m * (1e200 if s == "a" else 1) for s, m in base.symbol_unitaries.items()}
+        return replace(base, symbol_unitaries=unitaries), "aa"
+    matrix = np.zeros((3, 3), dtype=complex)
+    matrix[[1, 2], 0] = 1
+    matrix[0, [1, 2]] = 1
+    states = ("s0", "s1", "s2")
+    spec = TwoWayQfaSpec(
+        states=states,
+        input_alphabet=("a",),
+        initial_state="s0",
+        accept_states=frozenset(),
+        reject_states=frozenset(),
+        symbol_unitaries={s: matrix for s in ("#", "a", "$")},
+        head_fn=dict.fromkeys(states, 0),
+    )
+    return spec, "a"
+
+
+@pytest.mark.parametrize("name", ["scaled", "doubling"])
+def test_an_overflowing_machine_stops_where_the_reference_does(name):
+    """The run ends, not halted, at the step whose residual is no longer finite.
+
+    A relabel adds its amplitude as it is, where the reference multiplies it
+    by 1; the two differ only on a non-finite amplitude, which the run never
+    steps, because its residual is non-finite first.
+    """
+    spec, word = _overflowing(name)
+    assert spec._sparse
+    got = run(spec, word, max_steps=5000, trace=True)
+    want = reference_run(spec, word, max_steps=5000, trace=True)
+    assert got.halted is want.halted is False
+    assert got.steps == want.steps < 5000
+    assert not math.isfinite(got.p_residual) and not math.isfinite(want.p_residual)
+    assert got.trace[:-1] == want.trace[:-1]
+    assert got.trace[-1][:2] == want.trace[-1][:2]

@@ -17,7 +17,7 @@ from twoqfa.machine import (
     complete_partial_table,
     validate,
 )
-from twoqfa.machines import build_m1
+from twoqfa.machines import build_m1, build_m2, build_m3
 
 
 def test_amplitude_follows_the_head_direction(m1):
@@ -243,6 +243,15 @@ def _assert_padding_is_basis_off_the_touched_rows(spec: TwoWayQfaSpec) -> None:
 @pytest.mark.parametrize("machine", ["m1", "m2_5", "m3_5", "m2_20", "m3_20"])
 def test_bundled_padding_is_basis_off_the_touched_rows(machine, request):
     _assert_padding_is_basis_off_the_touched_rows(request.getfixturevalue(machine))
+
+
+@pytest.mark.parametrize("n", [3, 5, 20])
+@pytest.mark.parametrize("build", [build_m2, build_m3], ids=["m2", "m3"])
+def test_completion_leaves_no_round_off_outside_a_linked_row_group(build, n):
+    """Rows linked by given columns are completed group by group, so no entry is a stray 1e-16."""
+    spec = build(n)
+    for symbol, matrix in spec.symbol_unitaries.items():
+        assert np.count_nonzero((np.abs(matrix) < 1e-14) & (matrix != 0)) == 0, symbol
 
 
 @st.composite
