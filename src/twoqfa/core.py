@@ -16,9 +16,16 @@ key steps in a flat table of S entries per tape cell; most entries of the
 bundled machines are pure relabels, one transition of weight exactly 1 to a
 running state, which move an amplitude without multiplying it.  A denser
 machine, such as a Haar-random one, soon makes most of its tape live, so
-``_Evolution`` multiplies the whole array, one product per symbol.  Both
-build their index tables once per word; ``step`` keeps those of the last
-machine and word it was called with.
+``_Evolution`` multiplies the whole array, one product per symbol.  It keeps
+the array in the order a step reads it (``_Layout``): the tape columns
+sorted by symbol, so each symbol's cells are one slice, and the running
+states' rows before the accepting and the rejecting ones.  A step multiplies
+the running columns of each symbol's matrix, permuted to that order, by the
+running rows of its slice, writes the products to precomputed target cells
+and reads the three masses off contiguous row blocks.  Both engines build
+their index tables once per word; ``step`` keeps those of the last machine
+and word it was called with, and converts a vector to and from the dense
+order around the product, in which it reads every row.
 """
 
 from __future__ import annotations
@@ -125,23 +132,49 @@ def initial_vector(spec: TwoWayQfaSpec, word: str) -> AmplitudeVector:
     return vec
 
 
-def _symbol_groups(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
-    """Per tape symbol on the tape: its matrix, its columns and their flat target cells.
+class _Layout:
+    """The dense engine's order of the amplitude array on one tape.
 
-    Entry (t, col) of a symbol's product lands at flat cell
-    t * length + (col + move[t]) mod length of the circular tape.  For a
-    fixed target row the shift is a bijection of the columns, so every cell
-    of a step's result is written exactly once.
+    Row i of the array holds state rows[i]: the running states first, then
+    the accepting, then the rejecting ones, each in state order.  Column j
+    holds tape position columns[j]: the positions sorted by symbol, so each
+    symbol's cells form one slice.  groups holds, per tape symbol on the
+    tape, its matrix with rows and columns permuted to this row order, its
+    slice of columns and the flat target cell of every entry of its product.
     """
-    symbols = np.array(symbols)
-    length = symbols.size
-    offsets = np.arange(len(spec.states))[:, np.newaxis] * length
-    groups = []
-    for symbol in np.unique(symbols).tolist():
-        cols = np.flatnonzero(symbols == symbol)
-        cells = offsets + (cols + spec._move_column) % length
-        groups.append((spec._matrices[symbol], cols, cells))
-    return groups
+
+    def __init__(self, spec: TwoWayQfaSpec, symbols: list[int]):
+        symbols = np.array(symbols)
+        length = symbols.size
+        self.running = len(spec.states) - spec._halting_rows.size
+        self.accepting = spec._accept_rows.size
+        # halting roles are 0, 1, 2 for running, accepting, rejecting
+        rows = self.rows = np.argsort(spec._halt_role, kind="stable")
+        columns = self.columns = np.argsort(symbols, kind="stable")
+        sorted_column = np.empty(length, dtype=int)
+        sorted_column[columns] = np.arange(length)
+        # entry (i, j) of a product lands in row i at the sorted column of
+        # tape position columns[j] + move[rows[i]] on the circular tape
+        targets = sorted_column[(columns + spec._move_column[rows]) % length]
+        targets += np.arange(len(rows))[:, np.newaxis] * length
+        self.groups = []
+        lo = 0
+        for symbol, count in enumerate(np.bincount(symbols).tolist()):
+            if count:
+                hi = lo + count
+                matrix = spec._matrices[symbol][rows][:, rows]
+                self.groups.append((matrix, lo, hi, targets[:, lo:hi].copy()))
+                lo = hi
+
+    def sort(self, data: np.ndarray) -> np.ndarray:
+        """A tape-ordered amplitude array in this order."""
+        return data[np.ix_(self.rows, self.columns)]
+
+    def unsort(self, data: np.ndarray) -> np.ndarray:
+        """An amplitude array in this order, back in tape order."""
+        out = np.empty_like(data)
+        out[np.ix_(self.rows, self.columns)] = data
+        return out
 
 
 def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
@@ -176,7 +209,7 @@ def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
 def _word_tables(spec: TwoWayQfaSpec, word: str) -> list:
     """The index tables of the machine's engine for the tape of `word`."""
     symbols = _tape_symbols(spec, word)
-    return (_flat_table if spec._sparse else _symbol_groups)(spec, symbols)
+    return (_flat_table if spec._sparse else _Layout)(spec, symbols)
 
 
 #: (spec, word, tables) of the last ``step`` call.  Stepwise loops call
@@ -198,29 +231,39 @@ def _step_tables(spec: TwoWayQfaSpec, word: str) -> list:
 class _Evolution:
     """One-step evolution of a whole amplitude array, one matmul per tape symbol.
 
-    groups comes from ``_symbol_groups``; data is the amplitude array that
-    ``step`` advances.
+    data is the amplitude array in the order of layout, a ``_Layout``.  Each
+    symbol's matrix multiplies the slice of columns that holds the symbol,
+    and the product is written to its target cells.  inner is the number of
+    leading rows a step reads: every row on the first step, which may start
+    on a halting state, and after it only the running rows, because a
+    measured step leaves nothing on the halting ones.  So the halting rows
+    of data are never zeroed; they hold the last step's halting products.
     """
 
-    def __init__(self, spec: TwoWayQfaSpec, groups: list, data: np.ndarray):
-        self.spec = spec
-        self.groups = groups
+    def __init__(self, layout: _Layout, data: np.ndarray):
+        self.layout = layout
         self.data = data
+        self.inner = len(layout.rows)
 
     def apply(self) -> np.ndarray:
-        """One step's products of data, not yet measured, in a new array."""
-        data = self.data
-        out = np.empty(data.shape, dtype=np.complex128)
+        """One step's products of the first inner rows of data, unmeasured, in a new array."""
+        data = self.data[: self.inner]
+        out = np.empty(self.data.shape, dtype=np.complex128)
         cells = out.reshape(-1)
-        for matrix, cols, targets in self.groups:
-            cells[targets] = matrix @ data[:, cols]
+        for matrix, lo, hi, targets in self.layout.groups:
+            cells[targets] = matrix[:, : self.inner] @ data[:, lo:hi]
         return out
 
     def step(self) -> list[float]:
         """One step of data and its measurement; returns the residual, accept and reject mass."""
-        self.data = self.apply()
-        accept, reject = _measure_off(self.spec, self.data)
-        return [_norm_squared(self.data), accept, reject]
+        data = self.data = self.apply()
+        running = self.inner = self.layout.running
+        halting = running + self.layout.accepting
+        return [
+            _norm_squared(data[:running]),
+            _norm_squared(data[running:halting]),
+            _norm_squared(data[halting:]),
+        ]
 
 
 class _Frontier:
@@ -289,7 +332,9 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
         raise ValueError("vector shape does not match the machine and word")
     tables = _step_tables(spec, word)
     if not spec._sparse:
-        return AmplitudeVector(spec, length, _Evolution(spec, tables, vector.data).apply())
+        # every row is multiplied: a caller's vector may carry halting amplitude
+        products = _Evolution(tables, tables.sort(vector.data)).apply()
+        return AmplitudeVector(spec, length, tables.unsort(products))
     rows, cols, values = _nonzeros(vector.data)
     keys = [col * n + row for row, col in zip(rows, cols)]
     out = AmplitudeVector(spec, length)
@@ -354,7 +399,7 @@ def run(
         # the initial configuration sits at position 0, so its key is its state
         engine = _Frontier(tables, {spec.state_index(spec.initial_state): 1 + 0j})
     else:
-        engine = _Evolution(spec, tables, initial_vector(spec, word).data)
+        engine = _Evolution(tables, tables.sort(initial_vector(spec, word).data))
 
     p_accept = 0.0
     p_reject = 0.0

@@ -27,7 +27,7 @@ from reference_engine import reference_run, reference_step
 from reference_validate import masked_validate
 
 from twoqfa import core
-from twoqfa.core import initial_vector, measure, run, step
+from twoqfa.core import AmplitudeVector, initial_vector, measure, run, step
 from twoqfa.machine import DEFAULT_TOLERANCE, TwoWayQfaSpec, validate
 from twoqfa.machines import build_m1, build_m2, build_m3
 from twoqfa.specfile import dumps_spec, loads_spec
@@ -104,8 +104,8 @@ _UNITARY = {"haar", "permutation", "relabel"}
 def _machine(alphabet, kind, seed, moves, roles):
     """A machine with one random matrix of the given kind per tape symbol.
 
-    moves gives each state's head move; roles marks every state after the
-    initial one as running ("n"), accepting ("a") or rejecting ("r").
+    moves gives each state's head move; roles marks every state, the
+    initial one first, as running ("n"), accepting ("a") or rejecting ("r").
     """
     n = len(moves)
     rng = np.random.default_rng(seed)
@@ -115,8 +115,8 @@ def _machine(alphabet, kind, seed, moves, roles):
         states=states,
         input_alphabet=alphabet,
         initial_state=states[0],
-        accept_states=frozenset(s for s, r in zip(states[1:], roles) if r == "a"),
-        reject_states=frozenset(s for s, r in zip(states[1:], roles) if r == "r"),
+        accept_states=frozenset(s for s, r in zip(states, roles) if r == "a"),
+        reject_states=frozenset(s for s, r in zip(states, roles) if r == "r"),
         symbol_unitaries={s: make(rng, n) for s in ("#",) + alphabet + ("$",)},
         head_fn=dict(zip(states, moves)),
         name="random",
@@ -134,10 +134,10 @@ def _random_machines(draw):
         moves = [0] * n
     else:
         moves = [draw(st.sampled_from((-1, 0, 1))) for _ in range(n)]
-    roles = draw(st.lists(st.sampled_from("nar"), min_size=n - 1, max_size=n - 1))
+    roles = draw(st.lists(st.sampled_from("nar"), min_size=n, max_size=n))
     spec = _machine(alphabet, kind, seed, moves, roles)
     word = draw(st.text(alphabet="".join(alphabet), max_size=12))
-    max_steps = None if kind in _UNITARY else draw(st.integers(1, 16))
+    max_steps = None if kind in _UNITARY else draw(st.integers(1, 40))
     return spec, word, max_steps
 
 
@@ -146,7 +146,7 @@ def _random_machines(draw):
 # the ten running states are live; the run halts after 574 steps, every one
 # of them on the dense engine.
 _LONG_TAPE_HAAR = (
-    _machine(("a", "b"), "haar", 0, [i % 3 - 1 for i in range(12)], "n" * 9 + "ar"),
+    _machine(("a", "b"), "haar", 0, [i % 3 - 1 for i in range(12)], "n" * 10 + "ar"),
     "ab" * 43,
     None,
 )
@@ -155,12 +155,22 @@ _LONG_TAPE_HAAR = (
 # Weight-1 columns on both markers, onto running states (pure relabels) and
 # onto halting ones, among them relabels whose head wraps from the right
 # marker to the left one.
-_RELABEL = (_machine(("a", "b"), "relabel", 6, [0, 1, -1, 1, -1, 0], "nnnar"), "abba", None)
+_RELABEL = (_machine(("a", "b"), "relabel", 6, [0, 1, -1, 1, -1, 0], "nnnnar"), "abba", None)
 # Two halves that meet on a running state, through two relabels: a step that
 # stores the second relabel instead of adding it loses half the amplitude.
-_MERGE = (_machine(("a", "b"), "merge", 7, [1, 0, 0, -1, 1, 0], "nnnnr"), "abab", 12)
+_MERGE = (_machine(("a", "b"), "merge", 7, [1, 0, 0, -1, 1, 0], "nnnnnr"), "abab", 40)
 # The same meeting with weights 1 and -1: the halves cancel exactly at step 2.
-_CANCEL = (_machine(("a", "b"), "cancel", 0, [1, 0, 0, -1, 1, 0], "nnnnr"), "abab", 12)
+_CANCEL = (_machine(("a", "b"), "cancel", 0, [1, 0, 0, -1, 1, 0], "nnnnnr"), "abab", 40)
+# Initial states that halt: the first step reads the initial state's row,
+# which the dense engine's later steps skip, and the frontier's first key.
+_ACCEPTING_START = (
+    _machine(("a", "b"), "haar", 8, [i % 3 - 1 for i in range(16)], "a" + "n" * 12 + "arr"),
+    "abba",
+    None,
+)
+_REJECTING_START = (
+    _machine(("a", "b"), "relabel", 20, [1, 0, -1, 1, 0, -1], "rnnnan"), "abab", None
+)
 
 
 @st.composite
@@ -169,15 +179,26 @@ def _bundled_machines(draw):
     return spec, draw(st.text(alphabet=alphabet, max_size=12)), None
 
 
+def _close(got, want) -> bool:
+    """Within 1e-12 absolute for magnitudes up to 1 and 1e-12 relative above.
+
+    The probabilities of a unitary machine never exceed 1; the mass of a
+    non-unitary one can grow, and two summation orders then differ in the
+    last bits of a large number (8,192.000000000015 against ...018).
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= TOLERANCE * np.maximum(1, np.abs(want))))
+
+
 def _assert_runs_agree(spec, word, max_steps):
     got = run(spec, word, max_steps=max_steps, trace=True)
     want = reference_run(spec, word, max_steps=max_steps, trace=True)
     assert got.steps == want.steps
     assert got.halted == want.halted
-    assert abs(got.p_accept - want.p_accept) <= TOLERANCE
-    assert abs(got.p_reject - want.p_reject) <= TOLERANCE
-    assert abs(got.p_residual - want.p_residual) <= TOLERANCE
-    assert np.abs(np.array(got.trace) - np.array(want.trace)).max() <= TOLERANCE
+    assert _close(got.p_accept, want.p_accept)
+    assert _close(got.p_reject, want.p_reject)
+    assert _close(got.p_residual, want.p_residual)
+    assert _close(got.trace, want.trace)
 
 
 def _assert_steps_agree(spec, word, steps):
@@ -203,6 +224,8 @@ def test_bundled_machines_run_alike_on_both_engines(case):
 @example(_RELABEL)
 @example(_MERGE)
 @example(_CANCEL)
+@example(_ACCEPTING_START)
+@example(_REJECTING_START)
 def test_random_machines_run_alike_on_both_engines(case):
     _assert_runs_agree(*case)
 
@@ -227,7 +250,7 @@ def test_each_machine_family_takes_its_engine(
     bundled = [m1, m2_2, m2_5, m2_10, m2_20, m3_2, m3_5, m3_10, m3_20]
     assert {_engines_of(spec) for spec in bundled} == {("frontier", "frontier")}
     haar = [
-        _machine(("a", "b"), "haar", seed, [seed % 3 - 1] * n, "n" * (n - 5) + "aarr")
+        _machine(("a", "b"), "haar", seed, [seed % 3 - 1] * n, "n" * (n - 4) + "aarr")
         for seed, n in enumerate((16, 24, 32, 48))
     ]
     assert {_engines_of(spec) for spec in haar} == {("dense", "dense")}
@@ -245,9 +268,35 @@ def test_random_machines_reach_both_engines():
 @example(_RELABEL)
 @example(_MERGE)
 @example(_CANCEL)
+@example(_ACCEPTING_START)
+@example(_REJECTING_START)
 def test_stepwise_vectors_agree_on_both_engines(case):
     spec, word, max_steps = case
     _assert_steps_agree(spec, word, min(max_steps or 12, 12))
+
+
+def test_halting_initial_states_take_both_engines():
+    for (spec, _, _), engine in ((_ACCEPTING_START, "dense"), (_REJECTING_START, "frontier")):
+        assert spec.initial_state in spec.accept_states | spec.reject_states
+        assert _engines_of(spec) == (engine, engine)
+
+
+def test_dense_step_multiplies_the_halting_rows_of_a_vector():
+    """Unmeasured steps of a vector with amplitude on every row, halting ones too.
+
+    A run's dense steps after the first read only the running rows; ``step``
+    must read all of them, because its caller may not have measured.
+    """
+    spec, word, _ = _LONG_TAPE_HAAR
+    rng = np.random.default_rng(5)
+    shape = (len(spec.states), len(word) + 2)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = AmplitudeVector(spec, shape[1], data / np.linalg.norm(data))
+    want = got.copy()
+    for _ in range(2):
+        got = step(spec, word, got)
+        want = reference_step(spec, word, want)
+        assert np.abs(got.data - want.data).max() <= TOLERANCE
 
 
 @settings(max_examples=150, deadline=None)
