@@ -14,7 +14,10 @@ few transitions out of each, so ``_Frontier`` steps them one by one.  It
 keys a configuration by the int position * S + state and looks up how that
 key steps in a flat table of S entries per tape cell; most entries of the
 bundled machines are pure relabels, one transition of weight exactly 1 to a
-running state, which move an amplitude without multiplying it.  A denser
+running state that no other source reaches, which move an amplitude without
+multiplying it.  Most steps of their runs meet only relabels; such a step
+coasts, moving the keys and keeping the amplitudes and the last residual
+mass, so only the few others sum, measure and rebuild the live set.  A denser
 machine, such as a Haar-random one, soon makes most of its tape live, so
 ``_Evolution`` multiplies the whole array, one product per symbol.  It keeps
 the array in the order a step reads it (``_Layout``): the tape columns
@@ -269,18 +272,22 @@ class _Evolution:
 class _Frontier:
     """The live configurations of one run, stepped one configuration at a time.
 
-    configs maps the key position * S + state of each live configuration to
-    its nonzero amplitude; table, from ``_flat_table``, holds the step entry
-    of every key.  A pure relabel moves the amplitude to key + entry as it
-    is; any other entry sends each product to the running, accepting or
-    rejecting sums by the role stored with it.  Products are summed per
-    target key (``advance``) before the halting mass is taken off, so
-    amplitudes interfere first.
+    keys holds the key position * S + state of each live configuration and
+    amplitudes its nonzero amplitude, in the same order; table, from
+    ``_flat_table``, holds the step entry of every key.  A relabel moves an
+    amplitude to key + entry as it is; any other entry sends each product to
+    the running, accepting or rejecting sums by its role.  Products are
+    summed per target key (``advance``) before the halting mass is taken
+    off, so amplitudes interfere first.  A step whose keys all meet relabels
+    coasts: no other key reaches a relabel's target, so it moves the keys
+    alone and returns the last measured residual with no halting mass.
     """
 
-    def __init__(self, table: list, configs: dict[int, complex]):
+    def __init__(self, table: list, keys: list[int], amplitudes: list[complex]):
         self.table = table
-        self.configs = configs
+        self.keys = keys
+        self.amplitudes = amplitudes
+        self.residual = None
 
     def advance(self) -> tuple[dict[int, complex], dict[int, complex], dict[int, complex]]:
         """One step's products summed per target key and not yet measured.
@@ -290,12 +297,10 @@ class _Frontier:
         """
         table = self.table
         sums = live, _, _ = {}, {}, {}
-        get = live.get
-        for key, amplitude in self.configs.items():
+        for key, amplitude in zip(self.keys, self.amplitudes):
             entry = table[key]
             if entry.__class__ is int:
-                key += entry
-                live[key] = get(key, 0j) + amplitude
+                live[key + entry] = amplitude
             else:
                 for delta, weight, role in entry:
                     target = sums[role]
@@ -305,17 +310,27 @@ class _Frontier:
 
     def step(self) -> list[float]:
         """One step and its measurement; returns the residual, accept and reject mass."""
+        if self.residual is not None:
+            table = self.table
+            try:
+                # int + tuple raises at the first key that is not a relabel
+                self.keys = [key + table[key] for key in self.keys]
+                return [self.residual, 0.0, 0.0]
+            except TypeError:
+                pass
         live, accept, reject = self.advance()
         if 0j in live.values():  # cancelled exactly: a zero entry, as in the array
             live = {key: amplitude for key, amplitude in live.items() if amplitude}
-        self.configs = live
-        return [_mass(live), _mass(accept) if accept else 0.0, _mass(reject) if reject else 0.0]
+        self.keys = list(live)
+        self.amplitudes = list(live.values())
+        self.residual = _mass(self.amplitudes)
+        return [self.residual, _mass(accept.values()), _mass(reject.values())]
 
 
-def _mass(amplitudes: dict[int, complex]) -> float:
-    """The summed squared moduli of `amplitudes`, in their order."""
+def _mass(amplitudes) -> float:
+    """The summed squared moduli of the complex numbers `amplitudes`, in their order."""
     total = 0.0
-    for amplitude in amplitudes.values():
+    for amplitude in amplitudes:
         # a Python float ** raises OverflowError where this gives inf
         total += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
     return total
@@ -338,7 +353,7 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
     rows, cols, values = _nonzeros(vector.data)
     keys = [col * n + row for row, col in zip(rows, cols)]
     out = AmplitudeVector(spec, length)
-    for sums in _Frontier(tables, dict(zip(keys, values))).advance():
+    for sums in _Frontier(tables, keys, values).advance():
         for key, amplitude in sums.items():
             out.data[key % n, key // n] = amplitude
     return out
@@ -397,7 +412,7 @@ def run(
     tables = _word_tables(spec, word)
     if spec._sparse:
         # the initial configuration sits at position 0, so its key is its state
-        engine = _Frontier(tables, {spec.state_index(spec.initial_state): 1 + 0j})
+        engine = _Frontier(tables, [spec.state_index(spec.initial_state)], [1 + 0j])
     else:
         engine = _Evolution(tables, tables.sort(initial_vector(spec, word).data))
 

@@ -126,8 +126,10 @@ class TwoWayQfaSpec:
         # per tape symbol (in tape_alphabet order) and source state, how the
         # key of a configuration in that state on that symbol moves.  The
         # target t, moved by move[t], is at key + move[t] * n + t - source.  A
-        # column whose one nonzero is exactly 1 on a running target is a pure
-        # relabel and is kept as that int; any other column as a tuple of
+        # column whose one nonzero is exactly 1 on a running target, in a row
+        # with no other nonzero, is a pure relabel and is kept as that int: no
+        # other key can reach its target, so relabels never meet (every int
+        # column of a unitary qualifies).  Any other column is a tuple of
         # (key delta, amplitude, halting role of the target), in target order.
         # wrapping holds, for the left and the right marker, the sources whose
         # column moves a target off the tape (move -1 on the left marker, +1 on
@@ -144,14 +146,16 @@ class TwoWayQfaSpec:
                 leaving = -1 if symbol == 0 else 1 if symbol == last else None
                 sources, targets = np.nonzero(mask.T)
                 weights = matrix[targets, sources].tolist()
+                alone = (mask.sum(axis=1) == 1).tolist()
+                relabel = [False] * n
                 for source, target, weight in zip(sources.tolist(), targets.tolist(), weights):
                     role = self._halt_role[target]
                     columns[source].append((moves[target] * n + target - source, weight, role))
                     off_tape[source].append(int(moves[target] == leaving))
+                    relabel[source] = weight == 1 and not role and alone[target]
                 self._steps.append([
-                    column[0][0] if len(column) == 1 and column[0][1] == 1 and not column[0][2]
-                    else tuple(column)
-                    for column in columns
+                    column[0][0] if len(column) == 1 and relabel[source] else tuple(column)
+                    for source, column in enumerate(columns)
                 ])
                 if leaving is not None:
                     self._wrapping[symbol == last].extend(

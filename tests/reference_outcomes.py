@@ -40,3 +40,20 @@ def m3_accept(word: str, n_paths: int) -> float:
     paths = range(1, n_paths + 1)
     arrivals = Counter(i * (z - y) + j * (x - y) for i in paths for j in paths)
     return sum(count * count for count in arrivals.values()) / n_paths**4
+
+
+def m2_steps(opens: int, closes: int, n_paths: int) -> int:
+    """Steps after which ``build_m2(n_paths)`` halts on ``(`` * opens + ``)`` * closes.
+
+    Measured, not derived: it held on every one-block word with both counts
+    from 1 to 8, for N in {2, 3, 5, 7, 10}.
+    """
+    return 8 + 3 * min(opens, closes) + (n_paths + 2) * max(opens, closes)
+
+
+def m3_steps(k: int, n_paths: int) -> int:
+    """Steps after which ``build_m3(n_paths)`` halts on the member aᵏbᵏcᵏ.
+
+    Measured, not derived: it held for N in {2, 5} and k from 1 to 7.
+    """
+    return 9 + (2 * n_paths + 11) * k

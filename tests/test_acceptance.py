@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_outcomes import m2_accept, m3_accept
+from reference_outcomes import m2_accept, m2_steps, m3_accept, m3_steps
 
 from twoqfa.baselines import LanguageId, dyck_pda, l3_pda, membership, run_pda, sweep_compare, words_up_to
 from twoqfa.core import run
@@ -167,6 +167,24 @@ def test_random_block_words_match_the_closed_forms(m2_5, m3_5, brackets, triple)
     _assert_closed_form(m2_5, word, m2_accept(word, 5))
     word = "a" * triple[0] + "b" * triple[1] + "c" * triple[2]
     _assert_closed_form(m3_5, word, m3_accept(word, 5))
+
+
+@pytest.mark.parametrize("n_paths", [2, 3, 5, 7, 10])
+def test_one_block_words_halt_after_their_exact_step_counts(n_paths):
+    """The linear-time halting as a formula: a skipped or repeated step fails it."""
+    start = time.monotonic()
+    m2 = build_m2(n_paths)
+    for opens, closes in itertools.product(range(1, 9), repeat=2):
+        result = run(m2, "(" * opens + ")" * closes)
+        assert result.halted, (opens, closes)
+        assert result.steps == m2_steps(opens, closes, n_paths), (opens, closes)
+    if n_paths in (2, 5):
+        m3 = build_m3(n_paths)
+        for k in range(1, 8):
+            result = run(m3, "a" * k + "b" * k + "c" * k)
+            assert result.halted, k
+            assert result.steps == m3_steps(k, n_paths), k
+    assert _elapsed_under(start, 60.0)
 
 
 def _is_block_shaped(word: str) -> bool:

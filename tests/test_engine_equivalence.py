@@ -263,6 +263,34 @@ def test_random_machines_reach_both_engines():
         find(_random_machines(), lambda case: _engines_of(case[0]) == (engine, engine))
 
 
+def test_relabels_that_meet_stay_tuples(m2_10, m3_5):
+    """Only a column whose target no other source reaches is stored as an int.
+
+    Sources 1 and 2 of every merge and cancel matrix share one target, so
+    their columns stay tuples and a step sums them; every int column of the
+    unitary bundled machines qualifies.
+    """
+    for spec, _, _ in (_MERGE, _CANCEL):
+        for entries in spec._steps:
+            assert isinstance(entries[1], tuple) and isinstance(entries[2], tuple)
+    for spec, ints in ((m2_10, 446), (m3_5, 284)):
+        assert sum(entry.__class__ is int for entries in spec._steps for entry in entries) == ints
+
+
+def _steps_and_advances(spec, word) -> tuple[int, int]:
+    """The steps of a run and how many of them were full steps, not coasted."""
+    advance = core._Frontier.advance
+    with mock.patch.object(core._Frontier, "advance", autospec=True, side_effect=advance) as full:
+        result = run(spec, word)
+    return result.steps, full.call_count
+
+
+def test_frontier_runs_coast_through_relabel_steps(m2_10, m3_5):
+    """Bundled runs take a full step only where some key meets a non-relabel."""
+    assert _steps_and_advances(m2_10, "(" * 16 + ")" * 16) == (248, 3)
+    assert _steps_and_advances(m3_5, "a" * 14 + "b" * 14 + "c" * 14) == (303, 5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_bundled_machines(), _random_machines()))
 @example(_RELABEL)
@@ -348,7 +376,7 @@ def _overflowing(name: str) -> tuple[TwoWayQfaSpec, str]:
 def test_an_overflowing_machine_stops_where_the_reference_does(name):
     """The run ends, not halted, at the step whose residual is no longer finite.
 
-    A relabel adds its amplitude as it is, where the reference multiplies it
+    A relabel moves its amplitude as it is, where the reference multiplies it
     by 1; the two differ only on a non-finite amplitude, which the run never
     steps, because its residual is non-finite first.
     """
