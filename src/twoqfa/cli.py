@@ -36,6 +36,14 @@ from .specfile import load_spec, save_spec
 _FORMATS = click.Choice(["human", "structured", "csv"])
 _REPORT_FORMATS = click.Choice(["human", "structured"])
 
+#: (human label, WellFormednessReport field prefix) of each well-formedness check
+_CHECKS = (
+    ("per-symbol unitarity", "unitarity"),
+    ("local probability", "local_probability"),
+    ("separability (shifted overlap)", "separability1"),
+    ("separability (double shift)", "separability2"),
+)
+
 
 def _load_machine(machine: str, n_paths: int | None) -> TwoWayQfaSpec:
     if machine in BUILT_IN:
@@ -53,7 +61,7 @@ def _load_machine(machine: str, n_paths: int | None) -> TwoWayQfaSpec:
         raise click.UsageError("--n-paths is not allowed with a machine file")
     try:
         return load_spec(str(path))
-    except SpecFormatError as exc:
+    except (SpecFormatError, OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"bad machine file {machine}: {exc}") from exc
 
 
@@ -100,13 +108,15 @@ def _emit_csv(header, rows) -> None:
     click.echo(buffer.getvalue(), nl=False)
 
 
-def _read_recipe(path: str) -> Recipe:
+def _read_recipe(path: str) -> tuple[Recipe, str]:
+    """The recipe in the file at `path` and its transcribed word."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read recipe {path}: {exc}") from exc
     try:
-        return parse_recipe(text)
+        recipe = parse_recipe(text)
+        return recipe, transcribe(recipe)
     except RecipeError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -140,32 +150,18 @@ def validate_cmd(ctx, machine, n_paths, fmt, export_path) -> None:
             "N": spec.n_paths,
             "all_ok": report.all_ok,
             "tolerance": report.tolerance,
-            "unitarity_ok": report.unitarity_ok,
-            "unitarity_max_deviation": report.unitarity_max_deviation,
-            "local_probability_ok": report.local_probability_ok,
-            "local_probability_max_deviation": report.local_probability_max_deviation,
-            "separability1_ok": report.separability1_ok,
-            "separability1_max_deviation": report.separability1_max_deviation,
-            "separability2_ok": report.separability2_ok,
-            "separability2_max_deviation": report.separability2_max_deviation,
-            "padded_entries": [list(entry) for entry in report.padded_entries],
         }
+        for _, prefix in _CHECKS:
+            for key in (f"{prefix}_ok", f"{prefix}_max_deviation"):
+                record[key] = getattr(report, key)
+        record["padded_entries"] = [list(entry) for entry in report.padded_entries]
         _emit_json(record)
     else:
         click.echo(f"machine {spec.name or 'custom'} (N={spec.n_paths}, "
                    f"{len(spec.states)} states)")
-        rows = [
-            ("per-symbol unitarity", report.unitarity_ok,
-             report.unitarity_max_deviation),
-            ("local probability", report.local_probability_ok,
-             report.local_probability_max_deviation),
-            ("separability (shifted overlap)", report.separability1_ok,
-             report.separability1_max_deviation),
-            ("separability (double shift)", report.separability2_ok,
-             report.separability2_max_deviation),
-        ]
-        for label, ok, deviation in rows:
-            status = "pass" if ok else "FAIL"
+        for label, prefix in _CHECKS:
+            status = "pass" if getattr(report, f"{prefix}_ok") else "FAIL"
+            deviation = getattr(report, f"{prefix}_max_deviation")
             click.echo(f"  {label:32s} {status}  (max deviation {deviation:.3e})")
         if report.padded_entries:
             pads = ", ".join(f"{sym}:{state}" for sym, state in report.padded_entries)
@@ -197,11 +193,7 @@ def run_cmd(machine, n_paths, word, recipe_path, fmt, max_steps, halt_threshold,
     spec = _load_machine(machine, n_paths)
     recipe = None
     if recipe_path is not None:
-        recipe = _read_recipe(recipe_path)
-        try:
-            word = transcribe(recipe)
-        except RecipeError as exc:
-            raise click.UsageError(str(exc)) from exc
+        recipe, word = _read_recipe(recipe_path)
     else:
         word = _apply_aliases(spec, word)
     try:
@@ -289,11 +281,7 @@ def sweep_cmd(machine, n_paths, lang, max_len, fmt) -> None:
 @click.option("--format", "fmt", type=_REPORT_FORMATS, default="human")
 def transcribe_cmd(recipe_path, fmt) -> None:
     """Transcribe a recipe file into an input word."""
-    recipe = _read_recipe(recipe_path)
-    try:
-        word = transcribe(recipe)
-    except RecipeError as exc:
-        raise click.UsageError(str(exc)) from exc
+    recipe, word = _read_recipe(recipe_path)
     if fmt == "structured":
         record = {
             "system": recipe.system.value,

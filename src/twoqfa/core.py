@@ -149,9 +149,7 @@ class _Layout:
     def __init__(self, spec: TwoWayQfaSpec, symbols: list[int]):
         symbols = np.array(symbols)
         length = symbols.size
-        self.running = len(spec.states) - spec._halting_rows.size
-        self.accepting = spec._accept_rows.size
-        # halting roles are 0, 1, 2 for running, accepting, rejecting
+        self.running, self.accepting, _ = np.bincount(spec._halt_role, minlength=3).tolist()
         rows = self.rows = np.argsort(spec._halt_role, kind="stable")
         columns = self.columns = np.argsort(symbols, kind="stable")
         sorted_column = np.empty(length, dtype=int)
@@ -363,14 +361,6 @@ def _norm_squared(data: np.ndarray) -> float:
     return float(np.vdot(data, data).real)
 
 
-def _measure_off(spec: TwoWayQfaSpec, data: np.ndarray) -> tuple[float, float]:
-    """The accept and reject mass of `data`; zeroes its halting rows in place."""
-    accept = _norm_squared(data[spec._accept_rows])
-    reject = _norm_squared(data[spec._reject_rows])
-    data[spec._halting_rows] = 0
-    return accept, reject
-
-
 def measure(
     spec: TwoWayQfaSpec, vector: AmplitudeVector
 ) -> tuple[float, float, AmplitudeVector]:
@@ -379,9 +369,10 @@ def measure(
     Returns the accept gain, the reject gain and the residual vector with
     halting amplitudes zeroed.  The residual is not renormalised.
     """
+    role = spec._halt_role
     residual = AmplitudeVector(spec, vector.tape_length, vector.data.copy())
-    gain_accept, gain_reject = _measure_off(spec, residual.data)
-    return gain_accept, gain_reject, residual
+    residual.data[role != 0] = 0
+    return _norm_squared(vector.data[role == 1]), _norm_squared(vector.data[role == 2]), residual
 
 
 def run(

@@ -17,7 +17,7 @@ follow from unitarity (see ``validate``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,18 +97,11 @@ class TwoWayQfaSpec:
             raise ValueError("a padded entry is listed twice")
         self._state_index = {state: i for i, state in enumerate(self.states)}
         self._move_column = np.array([self.head_fn[s] for s in self.states])[:, np.newaxis]
-        self._accept_rows = np.array(
-            [i for i, s in enumerate(self.states) if s in self.accept_states], dtype=int
+        # per state, 0 if it keeps running, 1 if it accepts, 2 if it rejects
+        self._halt_role = np.array(
+            [1 if s in self.accept_states else 2 if s in self.reject_states else 0
+             for s in self.states]
         )
-        self._reject_rows = np.array(
-            [i for i, s in enumerate(self.states) if s in self.reject_states], dtype=int
-        )
-        self._halting_rows = np.concatenate([self._accept_rows, self._reject_rows])
-        # 0 for a state that keeps running, 1 accepting, 2 rejecting
-        self._halt_role = [0] * n
-        for role, rows in ((1, self._accept_rows), (2, self._reject_rows)):
-            for row in rows.tolist():
-                self._halt_role[row] = role
         # the number in tape_alphabet of each input symbol, and each tape
         # symbol's matrix, so that a run's set-up is one pass over the word
         self._symbol_index = {s: i for i, s in enumerate(self.input_alphabet, start=1)}
@@ -139,6 +132,7 @@ class TwoWayQfaSpec:
         self._wrapping: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [])
         if self._sparse:
             moves = self._move_column[:, 0].tolist()
+            roles = self._halt_role.tolist()
             last = len(self._matrices) - 1
             for symbol, (matrix, mask) in enumerate(zip(self._matrices, nonzero)):
                 columns = [[] for _ in range(n)]
@@ -149,7 +143,7 @@ class TwoWayQfaSpec:
                 alone = (mask.sum(axis=1) == 1).tolist()
                 relabel = [False] * n
                 for source, target, weight in zip(sources.tolist(), targets.tolist(), weights):
-                    role = self._halt_role[target]
+                    role = roles[target]
                     columns[source].append((moves[target] * n + target - source, weight, role))
                     off_tape[source].append(int(moves[target] == leaving))
                     relabel[source] = weight == 1 and not role and alone[target]
@@ -172,21 +166,16 @@ class TwoWayQfaSpec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwoWayQfaSpec):
             return NotImplemented
-        return (
-            self.states == other.states
-            and self.input_alphabet == other.input_alphabet
-            and self.initial_state == other.initial_state
-            and self.accept_states == other.accept_states
-            and self.reject_states == other.reject_states
-            and self.head_fn == other.head_fn
-            and self.name == other.name
-            and self.n_paths == other.n_paths
-            and self.padded_entries == other.padded_entries
-            and all(
-                np.array_equal(self.symbol_unitaries[s], other.symbol_unitaries[s])
-                for s in self.tape_alphabet
-            )
-        )
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "symbol_unitaries":
+                if mine.keys() != theirs.keys() or not all(
+                    np.array_equal(matrix, theirs[symbol]) for symbol, matrix in mine.items()
+                ):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
 
 def amplitude_of(
@@ -236,7 +225,7 @@ def _unitarity_deviation(matrix: np.ndarray) -> float:
     overflow leaves (inf - inf) counts as an infinite deviation, where
     Python's max would drop it.
     """
-    worst = float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max())
+    worst = float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max(initial=0.0))
     return math.inf if math.isnan(worst) else worst
 
 
@@ -385,8 +374,13 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
         block = np.zeros((n, len(specified_sources)), dtype=np.complex128)
         for k, source in enumerate(specified_sources):
             block[:, k] = columns[source]
+        # the given columns, and the complement of them, live on the touched
+        # rows alone; every other column is a basis vector on another row
+        hit = block.any(axis=1)
+        touched, untouched = np.flatnonzero(hit), np.flatnonzero(~hit).tolist()
+        given = block[touched]
         if specified_sources:
-            gram = block.conj().T @ block
+            gram = given.conj().T @ given
             deviation = np.abs(gram - np.eye(len(specified_sources)))
             worst = np.unravel_index(np.argmax(deviation), deviation.shape)
             # written as a negation so that a NaN column fails it too
@@ -400,8 +394,6 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
         matrix = np.zeros((n, n), dtype=np.complex128)
         matrix[:, [index[s] for s in specified_sources]] = block
         unspecified = [s for s in table.states if s not in columns]
-        hit = block.any(axis=1)
-        touched, untouched = np.flatnonzero(hit), np.flatnonzero(~hit).tolist()
         free_reject = [r for r in untouched if table.states[r] in table.reject_states]
         routed = dict(zip([s for s in unspecified if s not in halting], free_reject))
         taken = set(routed.values())
@@ -409,13 +401,15 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
         leftovers = [s for s in unspecified if s not in routed]
         for source, row in [*routed.items(), *zip(leftovers, basis)]:
             matrix[row, index[source]] = 1.0
-        if len(leftovers) > len(basis):
-            complement = _complement(block[touched])
-            for k, source in enumerate(leftovers[len(basis):]):
+        completed = leftovers[len(basis):]
+        if completed:
+            complement = _complement(given)
+            for k, source in enumerate(completed):
                 matrix[touched, index[source]] = complement[:, k]
 
         padded.extend((symbol, s) for s in unspecified)
-        deviation = _unitarity_deviation(matrix)
+        live = [index[s] for s in specified_sources + completed]
+        deviation = _unitarity_deviation(matrix[np.ix_(touched, live)])
         if deviation >= 1e-12:
             raise TableCompletionError(
                 f"completion for symbol {symbol!r} failed unitarity ({deviation:.3e})"

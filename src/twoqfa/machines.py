@@ -16,6 +16,10 @@ two comparison stages in sequence, each an N-path split with pacing plus a
 Fourier recombination: first c against b scanning leftward, then a against
 b scanning rightward.  Unequal counts stagger the arrivals, spreading mass
 over rejecting states so at most 1/N survives each stage.
+
+Every N-path stage, the one of m2 and both of m3, is written once:
+``_paced_paths`` gives its counter states and pacing rows, ``_split`` its
+1/sqrt(N) split and ``_recombine`` its Fourier recombination.
 """
 
 from __future__ import annotations
@@ -84,9 +88,50 @@ def build_m1() -> TwoWayQfaSpec:
     return complete_partial_table(table)
 
 
-def _counter_span(i: int, n_paths: int) -> int:
-    # largest idle count a branch needs on either letter
-    return max(i, n_paths - i + 1)
+def _named(template: str, n_paths: int) -> list[str]:
+    """`template` formatted with each of 1 .. n_paths."""
+    return [template.format(i) for i in range(1, n_paths + 1)]
+
+
+def _paced_paths(
+    prefix: str, n_paths: int, first: str, second: str, move: int
+) -> tuple[tuple[str, ...], dict[str, int], list[Row]]:
+    """The counter states, head moves and pacing rows of one N-path stage.
+
+    Path i owns the states prefix_i_0 .. prefix_i_J, J = max(i, N - i + 1).
+    Its head moves by `move` only in prefix_i_0; reading `first` there it
+    idles i steps, reading `second` N - i + 1 steps, counting down to 0.
+    """
+    states: list[str] = []
+    head_fn: dict[str, int] = {}
+    rows: list[Row] = []
+    for i in range(1, n_paths + 1):
+        for letter, count in ((first, i), (second, n_paths - i + 1)):
+            rows.append((f"{prefix}_{i}_0", letter, f"{prefix}_{i}_{count}", 1))
+            rows += [
+                (f"{prefix}_{i}_{j}", letter, f"{prefix}_{i}_{j - 1}", 1)
+                for j in range(1, count + 1)
+            ]
+        for j in range(max(i, n_paths - i + 1) + 1):
+            states.append(f"{prefix}_{i}_{j}")
+            head_fn[states[-1]] = move if j == 0 else 0
+    return tuple(states), head_fn, rows
+
+
+def _split(source: str, symbol: str, targets: list[str]) -> list[Row]:
+    """Rows sending `source` on `symbol` to each of the N targets with amplitude 1/sqrt(N)."""
+    amplitude = 1 / np.sqrt(len(targets))
+    return [(source, symbol, target, amplitude) for target in targets]
+
+
+def _recombine(sources: list[str], symbol: str, targets: list[str]) -> list[Row]:
+    """Rows sending path i's state on `symbol` to the targets by column i of the Fourier matrix."""
+    fourier = qft_matrix(len(sources))
+    return [
+        (source, symbol, target, complex(fourier[k, i]))
+        for i, source in enumerate(sources)
+        for k, target in enumerate(targets)
+    ]
 
 
 def build_m2(n_paths: int) -> TwoWayQfaSpec:
@@ -100,60 +145,31 @@ def build_m2(n_paths: int) -> TwoWayQfaSpec:
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     n = n_paths
-    qij = [(i, j) for i in range(1, n + 1) for j in range(_counter_span(i, n) + 1)]
-    states = (
-        ("q0", "q1", "q2", "q3")
-        + tuple(f"q_{i}_{j}" for i, j in qij)
-        + tuple(f"p_{k}" for k in range(1, n + 1))
-        + tuple(f"s_{i}_0" for i in range(1, n + 1))
-        + tuple(f"w_{i}_0" for i in range(1, n + 1))
-        + tuple(f"r_{i}_0" for i in range(1, n + 1))
-        + ("q_r",)
-    )
-    head_fn = {"q0": 1, "q1": -1, "q2": 1, "q3": -1, "q_r": 0}
-    for i, j in qij:
-        head_fn[f"q_{i}_{j}"] = 1 if j == 0 else 0
-    for k in range(1, n + 1):
-        head_fn[f"p_{k}"] = 0
-    for i in range(1, n + 1):
-        head_fn[f"s_{i}_0"] = -1
-        head_fn[f"w_{i}_0"] = 1
-        head_fn[f"r_{i}_0"] = 0
-
-    split = 1 / np.sqrt(n)
-    fourier = qft_matrix(n)
-    rows: list[Row] = [
+    paths, head_fn, rows = _paced_paths("q", n, "(", ")", 1)
+    starts, p, s, w, r = (_named(t, n) for t in ("q_{}_0", "p_{}", "s_{}_0", "w_{}_0", "r_{}_0"))
+    states = ("q0", "q1", "q2", "q3", *paths, *p, *s, *w, *r, "q_r")
+    head_fn |= {"q0": 1, "q1": -1, "q2": 1, "q3": -1, "q_r": 0}
+    head_fn |= {**dict.fromkeys(p + r, 0), **dict.fromkeys(s, -1), **dict.fromkeys(w, 1)}
+    rows += [
         ("q0", "#", "q0", 1), ("q1", "#", "q_r", 1),
         ("q0", "(", "q0", 1), ("q1", "(", "q2", 1), ("q2", "(", "q3", 1),
         ("q0", ")", "q1", 1), ("q2", ")", "q2", 1), ("q3", ")", "q0", 1),
+        # wrap the shape scan past $ so the split on # becomes reachable, and
+        # reject words whose final block is '('
+        ("q2", "$", "q2", 1), ("q0", "$", "q_r", 1),
     ]
-    # the N-way split on the left marker
-    rows += [("q2", "#", f"q_{i}_0", split) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        rows.append((f"q_{i}_0", "(", f"q_{i}_{i}", 1))
-        rows += [(f"q_{i}_{j}", "(", f"q_{i}_{j - 1}", 1) for j in range(1, i + 1)]
-        rows.append((f"q_{i}_0", ")", f"q_{i}_{n - i + 1}", 1))
-        rows += [(f"q_{i}_{j}", ")", f"q_{i}_{j - 1}", 1) for j in range(1, n - i + 2)]
-        rows.append((f"q_{i}_0", "$", f"s_{i}_0", 1))
-        rows.append((f"s_{i}_0", ")", f"w_{i}_0", 1))
-        rows.append((f"s_{i}_0", "(", f"r_{i}_0", 1))
-        # branch recombination through the Fourier matrix
-        rows += [
-            (f"w_{i}_0", "$", f"p_{k}", complex(fourier[k - 1, i - 1]))
-            for k in range(1, n + 1)
-        ]
-    # wrap the shape scan past $ so the split on # becomes reachable, and
-    # reject words whose final block is '('
-    rows.append(("q2", "$", "q2", 1))
-    rows.append(("q0", "$", "q_r", 1))
-
-    reject = {"q_r"} | {f"p_{k}" for k in range(1, n)} | {f"r_{i}_0" for i in range(1, n + 1)}
+    rows += _split("q2", "#", starts)
+    # a path reaching $ steps back onto the last letter: on ')' it returns
+    # to $ and recombines, on '(' it rejects
+    for start, back, ready, stray in zip(starts, s, w, r):
+        rows += [(start, "$", back, 1), (back, ")", ready, 1), (back, "(", stray, 1)]
+    rows += _recombine(w, "$", p)
     table = PartialTable(
         states=states,
         input_alphabet=("(", ")"),
         initial_state="q0",
-        accept_states=frozenset({f"p_{n}"}),
-        reject_states=frozenset(reject),
+        accept_states=frozenset(p[-1:]),
+        reject_states=frozenset(["q_r", *p[:-1], *r]),
         head_fn=head_fn,
         rows=rows,
         name="m2",
@@ -178,24 +194,12 @@ def build_m3(n_paths: int) -> TwoWayQfaSpec:
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     n = n_paths
-    ij = [(i, j) for i in range(1, n + 1) for j in range(_counter_span(i, n) + 1)]
-    states = (
-        ("f0", "f1", "f1x", "f2", "f2x", "f3", "r_1", "r_2")
-        + tuple(f"g_{i}_{j}" for i, j in ij)
-        + tuple(f"h_{k}" for k in range(1, n + 1))
-        + tuple(f"m_{i}_{j}" for i, j in ij)
-        + tuple(f"p_{k}" for k in range(1, n + 1))
-    )
+    g, g_heads, g_rows = _paced_paths("g", n, "c", "b", -1)
+    m, m_heads, m_rows = _paced_paths("m", n, "a", "b", 1)
+    g_starts, h, m_starts, p = (_named(t, n) for t in ("g_{}_0", "h_{}", "m_{}_0", "p_{}"))
+    states = ("f0", "f1", "f1x", "f2", "f2x", "f3", "r_1", "r_2", *g, *h, *m, *p)
     head_fn = {"f0": 1, "f1": 1, "f1x": -1, "f2": 1, "f2x": -1, "f3": 1, "r_1": 0, "r_2": 0}
-    for i, j in ij:
-        head_fn[f"g_{i}_{j}"] = -1 if j == 0 else 0
-        head_fn[f"m_{i}_{j}"] = 1 if j == 0 else 0
-    for k in range(1, n + 1):
-        head_fn[f"h_{k}"] = 0
-        head_fn[f"p_{k}"] = 0
-
-    split = 1 / np.sqrt(n)
-    fourier = qft_matrix(n)
+    head_fn |= {**g_heads, **m_heads, **dict.fromkeys(h + p, 0)}
     rows: list[Row] = [
         ("f0", "#", "f1", 1), ("f1x", "#", "r_1", 1),
         ("f1", "a", "f1", 1), ("f1x", "a", "f2", 1), ("f2", "a", "r_1", 1),
@@ -205,42 +209,19 @@ def build_m3(n_paths: int) -> TwoWayQfaSpec:
         ("f1", "c", "r_1", 1), ("f2", "c", "f2x", 1), ("f3", "c", "f3", 1),
         ("f1", "$", "r_1", 1), ("f2", "$", "r_2", 1),
     ]
-    # stage-two split at the right marker, branches walk leftward
-    rows += [("f3", "$", f"g_{i}_0", split) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        rows.append((f"g_{i}_0", "c", f"g_{i}_{i}", 1))
-        rows += [(f"g_{i}_{j}", "c", f"g_{i}_{j - 1}", 1) for j in range(1, i + 1)]
-        rows.append((f"g_{i}_0", "b", f"g_{i}_{n - i + 1}", 1))
-        rows += [(f"g_{i}_{j}", "b", f"g_{i}_{j - 1}", 1) for j in range(1, n - i + 2)]
-        rows.append((f"g_{i}_0", "a", f"g_{i}_0", 1))
-        rows += [
-            (f"g_{i}_0", "#", f"h_{k}", complex(fourier[k - 1, i - 1]))
-            for k in range(1, n + 1)
-        ]
-    # stage-three split at the left marker, branches walk rightward
-    rows += [(f"h_{n}", "#", f"m_{i}_0", split) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        rows.append((f"m_{i}_0", "a", f"m_{i}_{i}", 1))
-        rows += [(f"m_{i}_{j}", "a", f"m_{i}_{j - 1}", 1) for j in range(1, i + 1)]
-        rows.append((f"m_{i}_0", "b", f"m_{i}_{n - i + 1}", 1))
-        rows += [(f"m_{i}_{j}", "b", f"m_{i}_{j - 1}", 1) for j in range(1, n - i + 2)]
-        rows.append((f"m_{i}_0", "c", f"m_{i}_0", 1))
-        rows += [
-            (f"m_{i}_0", "$", f"p_{k}", complex(fourier[k - 1, i - 1]))
-            for k in range(1, n + 1)
-        ]
-
-    reject = (
-        {"r_1", "r_2"}
-        | {f"h_{k}" for k in range(1, n)}
-        | {f"p_{k}" for k in range(1, n)}
-    )
+    # stage two: split at the right marker, the paths walk leftward over
+    # the a's without pacing and recombine on the left marker
+    rows += _split("f3", "$", g_starts) + g_rows + [(q, "a", q, 1) for q in g_starts]
+    rows += _recombine(g_starts, "#", h)
+    # stage three: split at the left marker, rightward over the c's to $
+    rows += _split(h[-1], "#", m_starts) + m_rows + [(q, "c", q, 1) for q in m_starts]
+    rows += _recombine(m_starts, "$", p)
     table = PartialTable(
         states=states,
         input_alphabet=("a", "b", "c"),
         initial_state="f0",
-        accept_states=frozenset({f"p_{n}"}),
-        reject_states=frozenset(reject),
+        accept_states=frozenset(p[-1:]),
+        reject_states=frozenset(["r_1", "r_2", *h[:-1], *p[:-1]]),
         head_fn=head_fn,
         rows=rows,
         name="m3",

@@ -32,6 +32,9 @@ from .machine import TwoWayQfaSpec
 
 _HEADER = "twoqfa-machine 1"
 
+#: directives a file may hold at most once
+_ONCE = frozenset({"name", "paths", "states", "initial", "accept", "reject", "alphabet"})
+
 
 def _check_token(token: str, kind: str) -> str:
     if not token or any(ch.isspace() for ch in token):
@@ -59,11 +62,13 @@ def dumps_spec(spec: TwoWayQfaSpec) -> str:
     for symbol in spec.tape_alphabet:
         lines.append(f"matrix {symbol}")
         matrix = spec.symbol_unitaries[symbol]
-        for col, source in enumerate(spec.states):
-            for row, target in enumerate(spec.states):
-                value = complex(matrix[row, col])
-                if value != 0:
-                    lines.append(f"row {source} {target} {value.real!r} {value.imag!r}")
+        sources, targets = np.nonzero(matrix.T)
+        for source, target, value in zip(
+            sources.tolist(), targets.tolist(), matrix[targets, sources].tolist()
+        ):
+            lines.append(
+                f"row {spec.states[source]} {spec.states[target]} {value.real!r} {value.imag!r}"
+            )
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -93,17 +98,20 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
     matrices: dict[str, np.ndarray] = {}
     current: str | None = None
     index: dict[str, int] = {}
+    seen: set[str] = set()  # the once-only directives met so far
 
     for line in lines[1:-1]:
         tokens = line.split()
         directive, args = tokens[0], tokens[1:]
+        if directive in _ONCE:
+            if directive in seen:
+                raise SpecFormatError(f"{directive} line appears twice")
+            seen.add(directive)
         if directive == "name":
             name = _one(args, "name")
         elif directive == "paths":
             n_paths = _number(int, _one(args, "paths"), line)
         elif directive == "states":
-            if states is not None:
-                raise SpecFormatError("states line appears twice")
             states = tuple(args)
             index = {s: i for i, s in enumerate(states)}
         elif directive == "initial":
@@ -117,6 +125,8 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
         elif directive == "head":
             if len(args) != 2 or args[1] not in ("-1", "0", "+1", "1"):
                 raise SpecFormatError(f"bad head line: {line!r}")
+            if args[0] in head_fn:
+                raise SpecFormatError(f"head line for {args[0]!r} appears twice")
             head_fn[args[0]] = int(args[1])
         elif directive == "padded":
             if len(args) != 2:
@@ -129,6 +139,7 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             if symbol in matrices:
                 raise SpecFormatError(f"matrix for {symbol!r} appears twice")
             matrices[symbol] = np.zeros((len(states), len(states)), dtype=np.complex128)
+            written = np.zeros((len(states), len(states)), dtype=bool)  # entries rows set
             current = symbol
         elif directive == "row":
             if current is None:
@@ -138,7 +149,11 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             source, target, real, imag = args
             if source not in index or target not in index:
                 raise SpecFormatError(f"row references unknown state: {line!r}")
-            matrices[current][index[target], index[source]] = complex(
+            cell = index[target], index[source]
+            if written[cell]:
+                raise SpecFormatError(f"row line appears twice: {line!r}")
+            written[cell] = True
+            matrices[current][cell] = complex(
                 _number(float, real, line), _number(float, imag, line)
             )
         else:

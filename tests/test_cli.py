@@ -253,9 +253,15 @@ def test_run_on_a_machine_file(runner, tmp_path):
         ("run", "--machine", "m1", "--word", "ab", "--halt-threshold", "0"),
         ("validate", "--machine", "m1", "--export-spec", "no-such-directory/m1.2qfa"),
         ("sweep", "--machine", "m1", "--lang", "l1_regex", "--max-len", "-1"),
+        ("validate", "--machine", "undecodable.2qfa"),
+        ("transcribe", "--recipe", "undecodable.recipe"),
+        ("run", "--machine", "m1", "--recipe", "undecodable.recipe"),
     ],
 )
-def test_usage_errors_exit_with_code_two(runner, args):
+def test_usage_errors_exit_with_code_two(runner, args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("undecodable.2qfa", "undecodable.recipe"):
+        (tmp_path / name).write_bytes(b"\xff\n")
     result = runner.invoke(main, list(args))
     assert result.exit_code == 2
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoqfa.errors import SpecFormatError
-from twoqfa.machines import build_m1, build_m2, build_m3
+from twoqfa.machines import build, build_m1, build_m2, build_m3
 from twoqfa.specfile import dumps_spec, load_spec, loads_spec, save_spec
 
 
@@ -34,6 +36,25 @@ def test_padded_entries_survive_the_round_trip():
     assert loads_spec(dumps_spec(spec)).padded_entries == spec.padded_entries
 
 
+@pytest.mark.parametrize(
+    "name, n_paths, sha256",
+    [
+        ("m1", None, "9ae89907fb8fe20ca27864577995c47b5bcccbd92034b695ba9d33eef60e588a"),
+        ("m2", 2, "006db827a8cd40b7289532859aa452e1683ad6881d41026b5d9cde4db36b0886"),
+        ("m2", 5, "daf8fdb4ed818a33bbbade7cd4763d9c3c811377f012294257e20f13c4bb4914"),
+        ("m2", 10, "8eb85587a07b98a217913064a7cd7d8d3cd0502c2ed517d5f4a3455b3097a9b3"),
+        ("m2", 20, "397ca91b655168416c7ac7b4309bb1f974d717e9756ae97020d18b212015505f"),
+        ("m3", 2, "fda146e2c496cc29fdaa380b09a3a717cb1345836fb99fe5db307f13ed376fa7"),
+        ("m3", 5, "96fc2d7814b358b346844b8e7b50753b2309964272ac75c077588c35a0b69215"),
+        ("m3", 20, "a03d6aaf6678265cbd7ac3e7d1fd2efd233a03d433beeaf89b5db791978f057f"),
+    ],
+)
+def test_bundled_machines_keep_their_exact_bytes(name, n_paths, sha256):
+    """Any change to a bundled machine's states, order, amplitudes or padding shows here."""
+    text = dumps_spec(build(name, n_paths))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 def _minimal_text() -> str:
     return dumps_spec(build_m1())
 
@@ -53,6 +74,14 @@ def _minimal_text() -> str:
         (lambda t: t.replace("\nrow q0 q0 1.0 ", "\nrow q0 q0 1e400 ", 1), "non-finite"),
         (lambda t: t.replace("\nmatrix #\n", "\npadded zz nosuchstate\nmatrix #\n"), "padded"),
         (lambda t: t.replace("\nmatrix #\n", "\npadded # q0\npadded # q0\nmatrix #\n"), "padded"),
+        (lambda t: t.replace("\npaths 1\n", "\nname m1\npaths 1\n"), "twice"),
+        (lambda t: t.replace("\npaths 1\n", "\npaths 1\npaths 2\n"), "twice"),
+        (lambda t: t.replace("\ninitial q0\n", "\ninitial q0\ninitial q1\n"), "twice"),
+        (lambda t: t.replace("\naccept ", "\naccept q1\naccept "), "twice"),
+        (lambda t: t.replace("\nreject ", "\nreject q1\nreject "), "twice"),
+        (lambda t: t.replace("\nalphabet a b\n", "\nalphabet a b\nalphabet a b\n"), "twice"),
+        (lambda t: t.replace("\nhead q0 +1\n", "\nhead q0 +1\nhead q0 -1\n"), "twice"),
+        (lambda t: t.replace("\nrow q0 q0 1.0 0.0\n", "\nrow q0 q0 0.0 0.0\nrow q0 q0 1.0 0.0\n", 1), "twice"),
     ],
 )
 def test_malformed_text_is_rejected(mangle, hint):
