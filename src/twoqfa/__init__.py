@@ -8,6 +8,8 @@ a^n b^n c^n; classical oracles and a chemical recipe front end support
 differential testing and bench-protocol style reporting.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import (
     BoundViolation,
     DiscrepancyReport,
@@ -48,6 +50,7 @@ from .errors import (
 )
 from .machine import (
     DEFAULT_TOLERANCE,
+    Columns,
     PartialTable,
     TwoWayQfaSpec,
     WellFormednessReport,
@@ -60,51 +63,8 @@ from .specfile import dumps_spec, load_spec, loads_spec, save_spec
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlphabetError",
-    "AmplitudeVector",
-    "BoundViolation",
-    "Configuration",
-    "DEFAULT_HALT_THRESHOLD",
-    "DEFAULT_TOLERANCE",
-    "DiscrepancyReport",
-    "LanguageId",
-    "Mismatch",
-    "MultiStackPda",
-    "NondeterministicPdaError",
-    "PartialTable",
-    "ReactionSystem",
-    "Recipe",
-    "RecipeError",
-    "RunResult",
-    "Signature",
-    "SpecFormatError",
-    "TableCompletionError",
-    "TwoWayQfaSpec",
-    "WellFormednessReport",
-    "amplitude_of",
-    "build",
-    "build_m1",
-    "build_m2",
-    "build_m3",
-    "complete_partial_table",
-    "dumps_spec",
-    "dyck_pda",
-    "initial_vector",
-    "l3_pda",
-    "load_spec",
-    "loads_spec",
-    "measure",
-    "membership",
-    "parse_recipe",
-    "qft_matrix",
-    "run",
-    "run_pda",
-    "save_spec",
-    "signature",
-    "step",
-    "sweep_compare",
-    "transcribe",
-    "validate",
-    "words_up_to",
-]
+#: the names imported above, which are the public API; the submodules are not
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

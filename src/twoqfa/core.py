@@ -142,8 +142,8 @@ class _Layout:
     the accepting, then the rejecting ones, each in state order.  Column j
     holds tape position columns[j]: the positions sorted by symbol, so each
     symbol's cells form one slice.  groups holds, per tape symbol on the
-    tape, its matrix with rows and columns permuted to this row order, its
-    slice of columns and the flat target cell of every entry of its product.
+    tape, its matrix made dense and permuted to this row order, its slice
+    of columns and the flat target cell of every entry of its product.
     """
 
     def __init__(self, spec: TwoWayQfaSpec, symbols: list[int]):
@@ -163,7 +163,7 @@ class _Layout:
         for symbol, count in enumerate(np.bincount(symbols).tolist()):
             if count:
                 hi = lo + count
-                matrix = spec._matrices[symbol][rows][:, rows]
+                matrix = spec._columns[spec.tape_alphabet[symbol]].dense()[rows][:, rows]
                 self.groups.append((matrix, lo, hi, targets[:, lo:hi].copy()))
                 lo = hi
 

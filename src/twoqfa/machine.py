@@ -3,21 +3,26 @@
 A two-way machine is described by one unitary matrix per tape symbol plus a
 head function assigning each state a move in {-1, 0, +1}.  The transition
 amplitude from (q, sigma) to (q', d) is the matrix entry <q'|V_sigma|q> when
-the head function sends q' in direction d, and zero otherwise.
+the head function sends q' in direction d, and zero otherwise.  A spec
+stores each matrix by its nonzero columns (``Columns``), so the N-path
+machines, about N^2 states with one or a few nonzeros a column, are built,
+checked, saved, loaded and run without an S x S array.
 
 Tables taken from the literature are usually partial: they pin down the
 columns that carry the interesting dynamics and leave the rest open.
 ``complete_partial_table`` fills the open columns deterministically so that
 every per-symbol matrix becomes unitary, and ``validate`` checks that
-unitarity numerically.  The three local well-formedness conditions need no
-check of their own: keying each head move by the target state makes them
-follow from unitarity (see ``validate``).
+unitarity numerically, one block of linked columns at a time.  The three
+local well-formedness conditions follow from unitarity, because each head
+move is keyed by the target state (see ``validate``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,17 +37,84 @@ DEFAULT_TOLERANCE = 1e-9
 _DIRECTIONS = (-1, 0, 1)
 
 
-@dataclass(eq=False)
+class Columns(NamedTuple):
+    """A square matrix by its nonzero columns; an explicit zero is never stored.
+
+    Column j holds the int32 rows indices[indptr[j]:indptr[j + 1]],
+    ascending, and the complex128 values at the same places.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_entries(cls, n: int, cells, values) -> "Columns":
+        """The n x n matrix with values[k] in (column, row) cells[k], each cell at most once."""
+        columns, rows = np.asarray(cells, dtype=np.int64).reshape(-1, 2).T
+        order = np.argsort(columns * n + rows)
+        values = np.asarray(values, dtype=np.complex128)[order]
+        order, values = order[values != 0], values[values != 0]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(columns[order], minlength=n))])
+        return cls(indptr, rows[order].astype(np.int32), values)
+
+    def owners(self) -> np.ndarray:
+        """The column of each stored entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    def relabels(self) -> np.ndarray:
+        """Per column, whether its one nonzero is exactly 1 on a row with no other nonzero."""
+        n, owners = len(self.indptr) - 1, self.owners()
+        solo = (np.bincount(self.indices, minlength=n)[self.indices] == 1) & (self.values == 1)
+        solo &= (np.diff(self.indptr) == 1)[owners]
+        return np.bincount(owners[solo], minlength=n).astype(bool)
+
+    def dense(self) -> np.ndarray:
+        matrix = np.zeros((len(self.indptr) - 1,) * 2, dtype=np.complex128)
+        matrix[self.indices, self.owners()] = self.values
+        return matrix
+
+
+class _DenseView(Mapping):
+    """Per tape symbol, a spec's matrix as a read-only dense array built on each lookup."""
+
+    def __init__(self, columns: dict[str, Columns]):
+        self._columns = columns
+
+    def __getitem__(self, symbol: str) -> np.ndarray:
+        matrix = self._columns[symbol].dense()
+        matrix.flags.writeable = False
+        return matrix
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _DenseView):
+            return NotImplemented
+        # stored columns hold no zeros, so equal arrays mean equal matrices
+        mine, theirs = self._columns, other._columns
+        return mine.keys() == theirs.keys() and all(
+            all(map(np.array_equal, matrix, theirs[symbol])) for symbol, matrix in mine.items()
+        )
+
+
+@dataclass
 class TwoWayQfaSpec:
     """A complete two-way machine over a finite input alphabet.
 
     states are ordered; the order fixes matrix indexing, file layout and
     every deterministic tie-break in the package.  symbol_unitaries is keyed
-    by tape symbol (input alphabet plus the two end markers).  The
-    constructor fixes the engine from the matrices' nonzeros and, for the
-    frontier, builds each column's step entry once, so a changed machine
-    needs a new spec rather than edited matrices.  padded_entries names
-    (tape symbol, source state) pairs, each at most once.
+    by tape symbol (input alphabet plus the two end markers) and gives each
+    matrix dense or as ``Columns``; the spec stores a copy as ``Columns``
+    (``_columns``) and then holds in symbol_unitaries a read-only view that
+    makes the dense matrices on each lookup.  The constructor fixes the
+    engine from the nonzeros and, for the frontier, builds each column's
+    step entry once, so a changed machine needs a new spec.  padded_entries
+    names (tape symbol, source state) pairs, each at most once.
     """
 
     states: tuple[str, ...]
@@ -50,7 +122,7 @@ class TwoWayQfaSpec:
     initial_state: str
     accept_states: frozenset[str]
     reject_states: frozenset[str]
-    symbol_unitaries: dict[str, np.ndarray]
+    symbol_unitaries: Mapping[str, np.ndarray | Columns]
     head_fn: dict[str, int]
     name: str = ""
     n_paths: int = 1
@@ -81,17 +153,23 @@ class TwoWayQfaSpec:
         if set(self.symbol_unitaries) != set(self.tape_alphabet):
             raise ValueError("one matrix per tape symbol is required")
         n = len(self.states)
-        for symbol, matrix in self.symbol_unitaries.items():
-            if matrix.shape != (n, n):
+        self._columns: dict[str, Columns] = {}
+        for symbol in self.tape_alphabet:
+            matrix = self.symbol_unitaries[symbol]
+            if not isinstance(matrix, Columns) and np.shape(matrix) == (n, n):
+                cells = np.argwhere(np.transpose(matrix))
+                values = np.asarray(matrix)[cells[:, 1], cells[:, 0]]
+                matrix = Columns.from_entries(n, cells, values)
+            if not isinstance(matrix, Columns) or len(matrix.indptr) != n + 1:
                 raise ValueError(f"matrix for {symbol!r} is not {n}x{n}")
-            if matrix.dtype != np.complex128:
-                self.symbol_unitaries[symbol] = matrix.astype(np.complex128)
-            if not np.isfinite(self.symbol_unitaries[symbol]).all():
+            if not np.isfinite(matrix.values).all():
                 raise ValueError(f"matrix for {symbol!r} has a non-finite entry")
+            self._columns[symbol] = matrix
+        self.symbol_unitaries = _DenseView(self._columns)
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         for symbol, state in self.padded_entries:
-            if symbol not in self.symbol_unitaries or state not in state_set:
+            if symbol not in self._columns or state not in state_set:
                 raise ValueError(f"padded entry ({symbol!r}, {state!r}) is not a symbol and state")
         if len(set(self.padded_entries)) != len(self.padded_entries):
             raise ValueError("a padded entry is listed twice")
@@ -102,10 +180,8 @@ class TwoWayQfaSpec:
             [1 if s in self.accept_states else 2 if s in self.reject_states else 0
              for s in self.states]
         )
-        # the number in tape_alphabet of each input symbol, and each tape
-        # symbol's matrix, so that a run's set-up is one pass over the word
+        # each input symbol's number in tape_alphabet: a run's set-up is one pass
         self._symbol_index = {s: i for i, s in enumerate(self.input_alphabet, start=1)}
-        self._matrices = [self.symbol_unitaries[s] for s in self.tape_alphabet]
         # the engine of run() and step(), fixed by the machine: the frontier
         # steps each live configuration through the nonzeros of its column,
         # the dense engine multiplies whole matrices, so mostly-zero matrices
@@ -113,8 +189,8 @@ class TwoWayQfaSpec:
         # nonzeros, 1.0-1.6 a column, Haar-random machines 100%.  The count
         # cannot see a small dense block that a large sparse machine keeps
         # busy; such a machine runs, slowly, on the frontier.
-        nonzero = [matrix != 0 for matrix in self._matrices]
-        self._sparse = 2 * sum(map(np.count_nonzero, nonzero)) < len(nonzero) * n * n
+        columns = list(self._columns.values())
+        self._sparse = 2 * sum(len(c.values) for c in columns) < len(columns) * n * n
         # for the frontier, which keys a configuration as position * n + state:
         # per tape symbol (in tape_alphabet order) and source state, how the
         # key of a configuration in that state on that symbol moves.  The
@@ -133,23 +209,20 @@ class TwoWayQfaSpec:
         if self._sparse:
             moves = self._move_column[:, 0].tolist()
             roles = self._halt_role.tolist()
-            last = len(self._matrices) - 1
-            for symbol, (matrix, mask) in enumerate(zip(self._matrices, nonzero)):
-                columns = [[] for _ in range(n)]
+            last = len(columns) - 1
+            for symbol, matrix in enumerate(columns):
+                steps = [[] for _ in range(n)]
                 off_tape = [[] for _ in range(n)]
                 leaving = -1 if symbol == 0 else 1 if symbol == last else None
-                sources, targets = np.nonzero(mask.T)
-                weights = matrix[targets, sources].tolist()
-                alone = (mask.sum(axis=1) == 1).tolist()
-                relabel = [False] * n
-                for source, target, weight in zip(sources.tolist(), targets.tolist(), weights):
+                for source, target, weight in zip(
+                    matrix.owners().tolist(), matrix.indices.tolist(), matrix.values.tolist()
+                ):
                     role = roles[target]
-                    columns[source].append((moves[target] * n + target - source, weight, role))
+                    steps[source].append((moves[target] * n + target - source, weight, role))
                     off_tape[source].append(int(moves[target] == leaving))
-                    relabel[source] = weight == 1 and not role and alone[target]
                 self._steps.append([
-                    column[0][0] if len(column) == 1 and relabel[source] else tuple(column)
-                    for source, column in enumerate(columns)
+                    column[0][0] if relabel and not column[0][2] else tuple(column)
+                    for column, relabel in zip(steps, matrix.relabels().tolist())
                 ])
                 if leaving is not None:
                     self._wrapping[symbol == last].extend(
@@ -163,20 +236,6 @@ class TwoWayQfaSpec:
     def state_index(self, state: str) -> int:
         return self._state_index[state]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoWayQfaSpec):
-            return NotImplemented
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name == "symbol_unitaries":
-                if mine.keys() != theirs.keys() or not all(
-                    np.array_equal(matrix, theirs[symbol]) for symbol, matrix in mine.items()
-                ):
-                    return False
-            elif mine != theirs:
-                return False
-        return True
-
 
 def amplitude_of(
     spec: TwoWayQfaSpec, source: str, symbol: str, target: str, direction: int
@@ -184,8 +243,9 @@ def amplitude_of(
     """Transition amplitude from (source, symbol) to (target, direction)."""
     if spec.head_fn[target] != direction:
         return 0j
-    matrix = spec.symbol_unitaries[symbol]
-    return complex(matrix[spec.state_index(target), spec.state_index(source)])
+    indptr, indices, values = spec._columns[symbol]
+    column = slice(*indptr[spec.state_index(source):][:2])
+    return complex(values[column][indices[column] == spec.state_index(target)].sum())
 
 
 @dataclass(frozen=True)
@@ -217,16 +277,61 @@ class WellFormednessReport:
         )
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _unitarity_deviation(matrix: np.ndarray) -> float:
-    """Largest entry of |V^H V - I|.
+def _blocks(matrix: Columns, sources) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The linked blocks of `matrix`, whose columns outside `sources` are empty.
 
-    Entries of a finite machine far from unitary can overflow; the NaN an
-    overflow leaves (inf - inf) counts as an infinite deviation, where
-    Python's max would drop it.
+    Columns sharing a row are linked, so V^H V is zero outside the blocks of
+    linked columns and the rows they touch.  Each block comes as its rows,
+    its columns (both ascending) and its dense entries, by first row.  A
+    pure relabel (``Columns.relabels``) is an exact block and left out; an
+    empty column of `sources` is a block without rows and comes last.
     """
-    worst = float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max(initial=0.0))
-    return math.inf if math.isnan(worst) else worst
+    n = len(matrix.indptr) - 1
+    linked = ~matrix.relabels()[matrix.owners()]
+    rows, owners, values = matrix.indices[linked], matrix.owners()[linked], matrix.values[linked]
+    # label each column by the least column linked to it: take the least
+    # label two hops away, then the label of that label, until none changes
+    label, update = None, np.arange(n)
+    while not np.array_equal(update, label):
+        label, least = update, np.full(n, n)
+        np.minimum.at(least, rows, label[owners])
+        update = label.copy()
+        np.minimum.at(update, owners, least[rows])
+        update = update[update]
+    order = np.argsort(label[owners], kind="stable")
+    cuts = np.flatnonzero(np.diff(label[owners][order])) + 1
+    blocks = []
+    for entries in np.split(order, cuts) if order.size else ():
+        block_rows, at_row = np.unique(rows[entries], return_inverse=True)
+        block_columns, at_column = np.unique(owners[entries], return_inverse=True)
+        block = np.zeros((len(block_rows), len(block_columns)), dtype=np.complex128)
+        block[at_row, at_column] = values[entries]
+        blocks.append((block_rows, block_columns, block))
+    blocks.sort(key=lambda block: block[0][0])
+    empty = np.zeros((0, 1), dtype=np.complex128)
+    return blocks + [([], [c], empty) for c in sources if matrix.indptr[c] == matrix.indptr[c + 1]]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _deviation(blocks) -> tuple[float, int, int]:
+    """The largest |B^H B - I| over the blocks B and its columns; an overflow's NaN as infinity."""
+    worst = (0.0, 0, 0)
+    for _, columns, block in blocks:
+        gram = block.conj().T @ block
+        deviation = np.abs(gram - np.eye(len(gram)))
+        i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
+        if math.isnan(deviation[i, j]):
+            return math.inf, columns[i], columns[j]
+        worst = max(worst, (float(deviation[i, j]), columns[i], columns[j]))
+    return worst
+
+
+def _unitarity_deviation(matrix: Columns) -> float:
+    """Largest entry of |V^H V - I|, from the Gram of each linked block."""
+    n = len(matrix.indptr) - 1
+    if n <= 64:  # one block: at this size a product costs less than finding blocks
+        return _deviation([(None, range(n), matrix.dense())])[0]
+    return _deviation(_blocks(matrix, range(n)))[0]
 
 
 def validate(spec: TwoWayQfaSpec, tolerance: float = DEFAULT_TOLERANCE) -> WellFormednessReport:
@@ -244,7 +349,7 @@ def validate(spec: TwoWayQfaSpec, tolerance: float = DEFAULT_TOLERANCE) -> WellF
     Never raises or warns on a badly formed machine; all violations are
     reported as numbers, an overflowed one as infinity.
     """
-    deviation = max(_unitarity_deviation(spec.symbol_unitaries[s]) for s in spec.tape_alphabet)
+    deviation = max(map(_unitarity_deviation, spec._columns.values()))
     return WellFormednessReport(
         unitarity_ok=deviation < tolerance,
         unitarity_max_deviation=deviation,
@@ -284,132 +389,74 @@ class PartialTable:
         return (LEFT_MARKER,) + tuple(self.input_alphabet) + (RIGHT_MARKER,)
 
 
-def _specified_columns(
-    table: PartialTable, symbol: str, rows: list[tuple[str, str, str, complex]]
-) -> dict[str, np.ndarray]:
-    """Collect the column vector each source state is given under `symbol`."""
-    index = {state: i for i, state in enumerate(table.states)}
-    n = len(table.states)
-    columns: dict[str, np.ndarray] = {}
-    seen: set[tuple[str, str]] = set()
-    for source, _, target, amplitude in rows:
-        if source not in index or target not in index:
-            raise TableCompletionError(f"row references unknown state: {source!r} -> {target!r}")
-        key = (source, target)
-        if key in seen:
-            raise TableCompletionError(
-                f"conflicting rows for source {source!r}, target {target!r} under {symbol!r}"
-            )
-        seen.add(key)
-        column = columns.setdefault(source, np.zeros(n, dtype=np.complex128))
-        column[index[target]] = complex(amplitude)
-    return columns
-
-
-def _complement(block: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the complement of the orthonormal columns of `block`.
-
-    Every row of `block` must hold a nonzero.  Rows linked by a shared
-    column form a group; each group's complement comes from an SVD of that
-    group alone and is zero outside it.  One SVD of the whole block would
-    span the same space but leave round-off, up to about 2e-16, on the rows
-    of other groups.  The groups' complements follow the order of their
-    first rows.
-    """
-    hit = block != 0
-    pieces = []
-    left = np.ones(len(block), dtype=bool)
-    while left.any():
-        rows = np.zeros(len(block), dtype=bool)
-        rows[np.argmax(left)] = True
-        while True:
-            cols = hit[rows].any(axis=0)
-            grown = hit[:, cols].any(axis=1)
-            if (grown == rows).all():
-                break
-            rows = grown
-        left &= ~rows
-        size = np.count_nonzero(rows) - np.count_nonzero(cols)
-        if size:
-            u, _, _ = np.linalg.svd(block[np.ix_(rows, cols)], full_matrices=True)
-            piece = np.zeros((len(block), size), dtype=np.complex128)
-            piece[rows] = u[:, -size:]
-            pieces.append(piece)
-    return np.concatenate(pieces, axis=1)
-
-
 def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
     """Extend a partial table to a full machine with unitary matrices.
 
     The specified columns of each symbol must already be pairwise
     orthonormal; otherwise no unitary extension exists and a
     TableCompletionError names the symbol and an offending column pair.  A
-    row under a symbol outside the tape alphabet raises it too.
+    row under a symbol outside the tape alphabet raises it too, and so do
+    an unknown state and a repeated (source, symbol, target).
 
     Every symbol is completed by one rule.  The rows its specified columns
-    touch receive the orthonormal complement of those columns, taken over
-    the touched rows alone; every other row receives its own basis vector.
-    Unspecified non-halting sources take the basis vectors of rejecting rows
-    first; the other unspecified sources, in state order, then take the
-    remaining basis vectors in row order and after them the complement.
-    When every specified column is a unit basis vector the complement is
-    empty and the completion is a permutation.
+    touch receive the orthonormal complement of those columns, from an SVD
+    of each block of linked columns alone (``_blocks``), exactly zero off
+    the block; every other row receives its own basis vector.  Unspecified
+    non-halting sources take the basis vectors of rejecting rows first; the
+    other unspecified sources, in state order, then take the remaining basis
+    vectors in row order and after them the complements, by the blocks'
+    first rows.  When every specified column is a unit basis vector the
+    complement is empty and the completion is a permutation.
     """
-    index = {state: i for i, state in enumerate(table.states)}
-    n = len(table.states)
+    states = table.states
+    index = {state: i for i, state in enumerate(states)}
+    n = len(states)
     halting = table.accept_states | table.reject_states
-    rows_by_symbol: dict[str, list[tuple[str, str, str, complex]]] = {
-        symbol: [] for symbol in table.tape_alphabet
-    }
+    # per tape symbol, the amplitude of each (source, target) row
+    given: dict[str, dict[tuple[int, int], complex]] = {s: {} for s in table.tape_alphabet}
     for row in table.rows:
-        if row[1] not in rows_by_symbol:
-            raise TableCompletionError(f"row {row!r} names {row[1]!r}, which is not a tape symbol")
-        rows_by_symbol[row[1]].append(row)
-    matrices: dict[str, np.ndarray] = {}
+        source, symbol, target, amplitude = row
+        if symbol not in given:
+            raise TableCompletionError(f"row {row!r} names {symbol!r}, which is not a tape symbol")
+        if source not in index or target not in index:
+            raise TableCompletionError(f"row references unknown state: {source!r} -> {target!r}")
+        if (index[source], index[target]) in given[symbol]:
+            raise TableCompletionError(
+                f"conflicting rows for source {source!r}, target {target!r} under {symbol!r}"
+            )
+        given[symbol][index[source], index[target]] = complex(amplitude)
+    matrices: dict[str, Columns] = {}
     padded: list[tuple[str, str]] = []
 
-    for symbol in table.tape_alphabet:
-        columns = _specified_columns(table, symbol, rows_by_symbol[symbol])
-        specified_sources = [s for s in table.states if s in columns]
-        block = np.zeros((n, len(specified_sources)), dtype=np.complex128)
-        for k, source in enumerate(specified_sources):
-            block[:, k] = columns[source]
-        # the given columns, and the complement of them, live on the touched
-        # rows alone; every other column is a basis vector on another row
-        hit = block.any(axis=1)
-        touched, untouched = np.flatnonzero(hit), np.flatnonzero(~hit).tolist()
-        given = block[touched]
-        if specified_sources:
-            gram = given.conj().T @ given
-            deviation = np.abs(gram - np.eye(len(specified_sources)))
-            worst = np.unravel_index(np.argmax(deviation), deviation.shape)
-            # written as a negation so that a NaN column fails it too
-            if not deviation[worst] < DEFAULT_TOLERANCE:
-                a, b = specified_sources[worst[0]], specified_sources[worst[1]]
-                raise TableCompletionError(
-                    f"columns for source states {a!r} and {b!r} under symbol "
-                    f"{symbol!r} are not orthonormal"
-                )
-
-        matrix = np.zeros((n, n), dtype=np.complex128)
-        matrix[:, [index[s] for s in specified_sources]] = block
-        unspecified = [s for s in table.states if s not in columns]
-        free_reject = [r for r in untouched if table.states[r] in table.reject_states]
-        routed = dict(zip([s for s in unspecified if s not in halting], free_reject))
+    for symbol, entries in given.items():
+        specified = sorted({source for source, _ in entries})
+        matrix = Columns.from_entries(n, list(entries), list(entries.values()))
+        blocks = _blocks(matrix, specified)
+        deviation, a, b = _deviation(blocks)
+        if deviation >= DEFAULT_TOLERANCE:
+            raise TableCompletionError(
+                f"columns for source states {states[a]!r} and {states[b]!r} under symbol "
+                f"{symbol!r} are not orthonormal"
+            )
+        untouched = sorted(set(range(n)).difference(matrix.indices.tolist()))
+        unspecified = sorted(set(range(n)).difference(specified))
+        free_reject = [r for r in untouched if states[r] in table.reject_states]
+        routed = dict(zip([s for s in unspecified if states[s] not in halting], free_reject))
         taken = set(routed.values())
         basis = [r for r in untouched if r not in taken]
         leftovers = [s for s in unspecified if s not in routed]
-        for source, row in [*routed.items(), *zip(leftovers, basis)]:
-            matrix[row, index[source]] = 1.0
-        completed = leftovers[len(basis):]
-        if completed:
-            complement = _complement(given)
-            for k, source in enumerate(completed):
-                matrix[touched, index[source]] = complement[:, k]
-
-        padded.extend((symbol, s) for s in unspecified)
-        live = [index[s] for s in specified_sources + completed]
-        deviation = _unitarity_deviation(matrix[np.ix_(touched, live)])
+        entries.update(dict.fromkeys([*routed.items(), *zip(leftovers, basis)], 1.0))
+        completed = iter(leftovers[len(basis):])
+        for block_rows, block_columns, block in blocks:
+            size = len(block_rows) - len(block_columns)
+            if size > 0:
+                u, _, _ = np.linalg.svd(block, full_matrices=True)
+                for vector, source in zip(u[:, -size:].T, completed):
+                    cells = [(source, row) for row in block_rows.tolist()]
+                    entries.update(zip(cells, vector.tolist()))
+        matrix = Columns.from_entries(n, list(entries), list(entries.values()))
+        padded.extend((symbol, states[s]) for s in unspecified)
+        deviation = _unitarity_deviation(matrix)
         if deviation >= 1e-12:
             raise TableCompletionError(
                 f"completion for symbol {symbol!r} failed unitarity ({deviation:.3e})"
@@ -417,7 +464,7 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
         matrices[symbol] = matrix
 
     return TwoWayQfaSpec(
-        states=table.states,
+        states=states,
         input_alphabet=tuple(table.input_alphabet),
         initial_state=table.initial_state,
         accept_states=frozenset(table.accept_states),

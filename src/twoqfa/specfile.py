@@ -25,10 +25,8 @@ machine bit for bit.  State names and symbols must be whitespace-free.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import SpecFormatError
-from .machine import TwoWayQfaSpec
+from .machine import Columns, TwoWayQfaSpec
 
 _HEADER = "twoqfa-machine 1"
 
@@ -59,16 +57,13 @@ def dumps_spec(spec: TwoWayQfaSpec) -> str:
         lines.append(f"head {state} {'+1' if move == 1 else str(move)}")
     for symbol, state in spec.padded_entries:
         lines.append(f"padded {symbol} {state}")
-    for symbol in spec.tape_alphabet:
+    states = spec.states
+    for symbol, matrix in spec._columns.items():
         lines.append(f"matrix {symbol}")
-        matrix = spec.symbol_unitaries[symbol]
-        sources, targets = np.nonzero(matrix.T)
         for source, target, value in zip(
-            sources.tolist(), targets.tolist(), matrix[targets, sources].tolist()
+            matrix.owners().tolist(), matrix.indices.tolist(), matrix.values.tolist()
         ):
-            lines.append(
-                f"row {spec.states[source]} {spec.states[target]} {value.real!r} {value.imag!r}"
-            )
+            lines.append(f"row {states[source]} {states[target]} {value.real!r} {value.imag!r}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -95,8 +90,8 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
     alphabet: tuple[str, ...] | None = None
     head_fn: dict[str, int] = {}
     padded: list[tuple[str, str]] = []
-    matrices: dict[str, np.ndarray] = {}
-    current: str | None = None
+    matrices: dict[str, dict[tuple[int, int], complex]] = {}  # (source, target): value
+    current: dict[tuple[int, int], complex] | None = None  # the open matrix section
     index: dict[str, int] = {}
     seen: set[str] = set()  # the once-only directives met so far
 
@@ -138,9 +133,7 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             symbol = _one(args, "matrix")
             if symbol in matrices:
                 raise SpecFormatError(f"matrix for {symbol!r} appears twice")
-            matrices[symbol] = np.zeros((len(states), len(states)), dtype=np.complex128)
-            written = np.zeros((len(states), len(states)), dtype=bool)  # entries rows set
-            current = symbol
+            current = matrices[symbol] = {}
         elif directive == "row":
             if current is None:
                 raise SpecFormatError("row line outside a matrix section")
@@ -149,13 +142,10 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             source, target, real, imag = args
             if source not in index or target not in index:
                 raise SpecFormatError(f"row references unknown state: {line!r}")
-            cell = index[target], index[source]
-            if written[cell]:
+            cell = index[source], index[target]
+            if cell in current:
                 raise SpecFormatError(f"row line appears twice: {line!r}")
-            written[cell] = True
-            matrices[current][cell] = complex(
-                _number(float, real, line), _number(float, imag, line)
-            )
+            current[cell] = complex(_number(float, real, line), _number(float, imag, line))
         else:
             raise SpecFormatError(f"unknown directive {directive!r}")
 
@@ -168,7 +158,10 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             initial_state=initial,
             accept_states=accept,
             reject_states=reject,
-            symbol_unitaries=matrices,
+            symbol_unitaries={
+                symbol: Columns.from_entries(len(states), list(entries), list(entries.values()))
+                for symbol, entries in matrices.items()
+            },
             head_fn=head_fn,
             name=name,
             n_paths=n_paths,

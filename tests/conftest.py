@@ -48,3 +48,23 @@ def m2_20():
 @pytest.fixture(scope="session")
 def m3_20():
     return build_m3(20)
+
+
+@pytest.fixture(scope="session")
+def m2_50():
+    return build_m2(50)
+
+
+@pytest.fixture(scope="session")
+def m3_50():
+    return build_m3(50)
+
+
+@pytest.fixture(scope="session")
+def m2_100():
+    return build_m2(100)
+
+
+@pytest.fixture(scope="session")
+def m3_100():
+    return build_m3(100)

@@ -46,7 +46,7 @@ def m2_steps(opens: int, closes: int, n_paths: int) -> int:
     """Steps after which ``build_m2(n_paths)`` halts on ``(`` * opens + ``)`` * closes.
 
     Measured, not derived: it held on every one-block word with both counts
-    from 1 to 8, for N in {2, 3, 5, 7, 10}.
+    from 1 to 8, for N in {2, 3, 5, 7, 10, 50, 100}.
     """
     return 8 + 3 * min(opens, closes) + (n_paths + 2) * max(opens, closes)
 
@@ -54,6 +54,6 @@ def m2_steps(opens: int, closes: int, n_paths: int) -> int:
 def m3_steps(k: int, n_paths: int) -> int:
     """Steps after which ``build_m3(n_paths)`` halts on the member aᵏbᵏcᵏ.
 
-    Measured, not derived: it held for N in {2, 5} and k from 1 to 7.
+    Measured, not derived: it held for N in {2, 5, 50, 100} and k from 1 to 7.
     """
     return 9 + (2 * n_paths + 11) * k

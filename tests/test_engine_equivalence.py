@@ -345,6 +345,28 @@ def test_validate_agrees_with_the_masked_matrix_validator(case, tolerance):
     assert got.padded_entries == want.padded_entries
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(65, 100),
+    st.sampled_from(sorted(_MATRICES)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((DEFAULT_TOLERANCE, 0.0, 0.5)),
+)
+def test_validate_by_blocks_agrees_with_the_masked_matrix_validator(n, kind, seed, tolerance):
+    """Past 64 states validate takes one Gram per linked block of columns.
+
+    A block's Gram sums the same products as the whole matrix's, in a
+    shorter product, so the deviations agree to 1e-12, not bit for bit.
+    """
+    spec = _machine(("a", "b"), kind, seed, [0] * n, "n" * n)
+    got = validate(spec, tolerance)
+    want = masked_validate(spec, tolerance)
+    for check in ("unitarity", "local_probability", "separability1", "separability2"):
+        assert getattr(got, f"{check}_ok") == getattr(want, f"{check}_ok"), check
+        deviation = getattr(got, f"{check}_max_deviation")
+        assert _close(deviation, getattr(want, f"{check}_max_deviation")), check
+
+
 def _overflowing(name: str) -> tuple[TwoWayQfaSpec, str]:
     """A non-unitary machine whose amplitudes overflow, and a word.
 

@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoqfa.core import run
 from twoqfa.errors import TableCompletionError
 from twoqfa.machine import (
+    Columns,
     PartialTable,
     TwoWayQfaSpec,
+    _blocks,
+    _deviation,
+    _unitarity_deviation,
     amplitude_of,
     complete_partial_table,
     validate,
@@ -125,6 +130,13 @@ def test_nan_column_is_rejected():
     assert "'x'" in str(info.value)
 
 
+def test_repeated_row_is_rejected():
+    table = _tiny_table([("u0", "x", "u1", 1), ("u1", "x", "u0", 1), ("u0", "x", "u1", 1)])
+    with pytest.raises(TableCompletionError) as info:
+        complete_partial_table(table)
+    assert "conflicting rows" in str(info.value) and "'x'" in str(info.value)
+
+
 def test_row_under_a_symbol_outside_the_tape_is_rejected():
     table = _tiny_table([("u0", "y", "u1", 1)])
     with pytest.raises(TableCompletionError) as info:
@@ -205,6 +217,68 @@ def test_spec_constructor_rejects_malformed_machines(m1):
             TwoWayQfaSpec(**{**good, **bad})
 
 
+def test_spec_keeps_its_own_copy_of_the_matrices():
+    """The caller's dict and arrays are neither kept nor written, and later edits reach nothing."""
+    matrices = {s: np.eye(2, dtype=int) for s in ("#", "x", "$")}
+    arrays = dict(matrices)
+    spec = TwoWayQfaSpec(
+        states=("u0", "u1"),
+        input_alphabet=("x",),
+        initial_state="u0",
+        accept_states=frozenset(),
+        reject_states=frozenset({"u1"}),
+        symbol_unitaries=matrices,
+        head_fn={"u0": 1, "u1": 0},
+    )
+    assert spec.symbol_unitaries is not matrices
+    assert all(matrices[s] is arrays[s] and matrices[s].dtype == int for s in matrices)
+    assert all(np.array_equal(matrices[s], np.eye(2)) for s in matrices)
+    before = run(spec, "xx", max_steps=10, trace=True)
+    matrices["x"][0, 0] = 5
+    matrices["$"] = np.zeros((2, 2))
+    assert validate(spec).unitarity_max_deviation == 0.0
+    assert run(spec, "xx", max_steps=10, trace=True) == before
+    assert np.array_equal(spec.symbol_unitaries["x"], np.eye(2))
+    # the view builds a new read-only array on each lookup
+    view = spec.symbol_unitaries["x"]
+    assert view is not spec.symbol_unitaries["x"]
+    with pytest.raises(ValueError):
+        view[0, 0] = 5
+    with pytest.raises(TypeError):
+        spec.symbol_unitaries["x"] = np.eye(2)
+
+
+def test_columns_keep_each_nonzero_once_in_row_order():
+    matrix = Columns.from_entries(3, [(2, 2), (0, 1), (0, 0), (1, 0)], [3j, 2, 0.5, 0])
+    assert matrix.indptr.tolist() == [0, 2, 2, 3]
+    assert matrix.indices.tolist() == [0, 1, 2] and matrix.indices.dtype == np.int32
+    assert matrix.values.tolist() == [0.5, 2, 3j]
+    assert matrix.owners().tolist() == [0, 0, 2]
+    assert np.array_equal(matrix.dense(), [[0.5, 0, 0], [2, 0, 0], [0, 0, 3j]])
+
+
+def test_blocks_follow_chains_of_shared_rows():
+    """A chain of columns linked row by row is one block; relabels are left out, empty columns last."""
+    cells, values = [], []
+    for j in range(150):
+        cells += [(j, j), (j, j + 1)]
+        values += [0.6, 0.8]
+    cells += [(150, 199), (151, 190)]  # a pure relabel, and a single -1 that is a block
+    values += [1.0, -1.0]
+    matrix = Columns.from_entries(200, cells, values)
+    blocks = _blocks(matrix, range(200))
+    assert [[int(c) for c in block[1]] for block in blocks] == [
+        list(range(150)), [151], *([c] for c in range(152, 200))
+    ]
+    rows, columns, block = blocks[0]
+    assert rows.tolist() == list(range(151))
+    assert np.array_equal(block, matrix.dense()[:151, :150])
+    # the 48 empty columns deviate by 1, the chain's linked pairs by 0.48
+    assert _unitarity_deviation(matrix) == 1.0
+    chain = _deviation(blocks[:1])
+    assert chain[0] == pytest.approx(0.48) and chain[2] == chain[1] + 1
+
+
 def test_padded_entries_cover_exactly_the_unspecified_columns(m1):
     specified = {("#", s) for s in ("q0", "q1", "q5", "q7")}
     padded_hash_marker = {s for sym, s in m1.padded_entries if sym == "#"}
@@ -213,13 +287,15 @@ def test_padded_entries_cover_exactly_the_unspecified_columns(m1):
 
 @pytest.mark.parametrize("entry", [np.nan, 1e200 + 1e200j])
 def test_validator_fails_a_machine_whose_checks_are_not_finite(entry):
-    # a NaN written into a built machine, or entries whose products overflow
-    spec = build_m1()
-    spec.symbol_unitaries["a"][0, :] = entry
-    report = validate(spec)
-    assert report.unitarity_max_deviation == math.inf
-    assert not report.unitarity_ok
-    assert not report.all_ok
+    # a NaN written into a built machine, or entries whose products overflow,
+    # on m1 (one dense Gram) and on m2 N=10 (135 states, a Gram per block);
+    # the stored column values are the one place a machine lives
+    for spec, symbol in ((build_m1(), "a"), (build_m2(10), "(")):
+        spec._columns[symbol].values[0] = entry
+        report = validate(spec)
+        assert report.unitarity_max_deviation == math.inf
+        assert not report.unitarity_ok
+        assert not report.all_ok
 
 
 def _touched_rows(spec: TwoWayQfaSpec, symbol: str) -> np.ndarray:
