@@ -49,14 +49,14 @@ class Columns(NamedTuple):
     values: np.ndarray
 
     @classmethod
-    def from_entries(cls, n: int, cells, values) -> "Columns":
-        """The n x n matrix with values[k] in (column, row) cells[k], each cell at most once."""
-        columns, rows = np.asarray(cells, dtype=np.int64).reshape(-1, 2).T
-        order = np.argsort(columns * n + rows)
+    def from_entries(cls, n: int, keys, values) -> "Columns":
+        """The n x n matrix with values[k] at column * n + row = keys[k], each key at most once."""
+        keys = np.asarray(keys, dtype=np.int64)
+        order = np.argsort(keys)
         values = np.asarray(values, dtype=np.complex128)[order]
-        order, values = order[values != 0], values[values != 0]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(columns[order], minlength=n))])
-        return cls(indptr, rows[order].astype(np.int32), values)
+        columns, rows = np.divmod(keys[order[values != 0]], n)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(columns, minlength=n))])
+        return cls(indptr, rows.astype(np.int32), values[values != 0])
 
     def owners(self) -> np.ndarray:
         """The column of each stored entry."""
@@ -157,9 +157,9 @@ class TwoWayQfaSpec:
         for symbol in self.tape_alphabet:
             matrix = self.symbol_unitaries[symbol]
             if not isinstance(matrix, Columns) and np.shape(matrix) == (n, n):
-                cells = np.argwhere(np.transpose(matrix))
-                values = np.asarray(matrix)[cells[:, 1], cells[:, 0]]
-                matrix = Columns.from_entries(n, cells, values)
+                flat = np.transpose(matrix).ravel()
+                keys = np.flatnonzero(flat)
+                matrix = Columns.from_entries(n, keys, flat[keys])
             if not isinstance(matrix, Columns) or len(matrix.indptr) != n + 1:
                 raise ValueError(f"matrix for {symbol!r} is not {n}x{n}")
             if not np.isfinite(matrix.values).all():
@@ -412,24 +412,25 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
     index = {state: i for i, state in enumerate(states)}
     n = len(states)
     halting = table.accept_states | table.reject_states
-    # per tape symbol, the amplitude of each (source, target) row
-    given: dict[str, dict[tuple[int, int], complex]] = {s: {} for s in table.tape_alphabet}
+    # per tape symbol, the amplitude of each row, keyed source * n + target
+    given: dict[str, dict[int, complex]] = {s: {} for s in table.tape_alphabet}
     for row in table.rows:
         source, symbol, target, amplitude = row
         if symbol not in given:
             raise TableCompletionError(f"row {row!r} names {symbol!r}, which is not a tape symbol")
         if source not in index or target not in index:
             raise TableCompletionError(f"row references unknown state: {source!r} -> {target!r}")
-        if (index[source], index[target]) in given[symbol]:
+        key = index[source] * n + index[target]
+        if key in given[symbol]:
             raise TableCompletionError(
                 f"conflicting rows for source {source!r}, target {target!r} under {symbol!r}"
             )
-        given[symbol][index[source], index[target]] = complex(amplitude)
+        given[symbol][key] = complex(amplitude)
     matrices: dict[str, Columns] = {}
     padded: list[tuple[str, str]] = []
 
     for symbol, entries in given.items():
-        specified = sorted({source for source, _ in entries})
+        specified = sorted({key // n for key in entries})
         matrix = Columns.from_entries(n, list(entries), list(entries.values()))
         blocks = _blocks(matrix, specified)
         deviation, a, b = _deviation(blocks)
@@ -445,15 +446,14 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
         taken = set(routed.values())
         basis = [r for r in untouched if r not in taken]
         leftovers = [s for s in unspecified if s not in routed]
-        entries.update(dict.fromkeys([*routed.items(), *zip(leftovers, basis)], 1.0))
+        entries.update({s * n + r: 1.0 for s, r in [*routed.items(), *zip(leftovers, basis)]})
         completed = iter(leftovers[len(basis):])
         for block_rows, block_columns, block in blocks:
             size = len(block_rows) - len(block_columns)
             if size > 0:
                 u, _, _ = np.linalg.svd(block, full_matrices=True)
                 for vector, source in zip(u[:, -size:].T, completed):
-                    cells = [(source, row) for row in block_rows.tolist()]
-                    entries.update(zip(cells, vector.tolist()))
+                    entries.update(zip((source * n + block_rows).tolist(), vector.tolist()))
         matrix = Columns.from_entries(n, list(entries), list(entries.values()))
         padded.extend((symbol, states[s]) for s in unspecified)
         deviation = _unitarity_deviation(matrix)

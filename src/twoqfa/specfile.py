@@ -90,8 +90,8 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
     alphabet: tuple[str, ...] | None = None
     head_fn: dict[str, int] = {}
     padded: list[tuple[str, str]] = []
-    matrices: dict[str, dict[tuple[int, int], complex]] = {}  # (source, target): value
-    current: dict[tuple[int, int], complex] | None = None  # the open matrix section
+    matrices: dict[str, dict[int, complex]] = {}  # source * S + target: value
+    current: dict[int, complex] | None = None  # the open matrix section
     index: dict[str, int] = {}
     seen: set[str] = set()  # the once-only directives met so far
 
@@ -142,7 +142,7 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             source, target, real, imag = args
             if source not in index or target not in index:
                 raise SpecFormatError(f"row references unknown state: {line!r}")
-            cell = index[source], index[target]
+            cell = index[source] * len(index) + index[target]
             if cell in current:
                 raise SpecFormatError(f"row line appears twice: {line!r}")
             current[cell] = complex(_number(float, real, line), _number(float, imag, line))

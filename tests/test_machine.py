@@ -249,7 +249,8 @@ def test_spec_keeps_its_own_copy_of_the_matrices():
 
 
 def test_columns_keep_each_nonzero_once_in_row_order():
-    matrix = Columns.from_entries(3, [(2, 2), (0, 1), (0, 0), (1, 0)], [3j, 2, 0.5, 0])
+    # keys are column * 3 + row: (2, 2), (0, 1), (0, 0) and an explicit zero at (1, 0)
+    matrix = Columns.from_entries(3, [8, 1, 0, 3], [3j, 2, 0.5, 0])
     assert matrix.indptr.tolist() == [0, 2, 2, 3]
     assert matrix.indices.tolist() == [0, 1, 2] and matrix.indices.dtype == np.int32
     assert matrix.values.tolist() == [0.5, 2, 3j]
@@ -259,13 +260,13 @@ def test_columns_keep_each_nonzero_once_in_row_order():
 
 def test_blocks_follow_chains_of_shared_rows():
     """A chain of columns linked row by row is one block; relabels are left out, empty columns last."""
-    cells, values = [], []
-    for j in range(150):
-        cells += [(j, j), (j, j + 1)]
+    keys, values = [], []
+    for j in range(150):  # column j on rows j and j + 1
+        keys += [j * 200 + j, j * 200 + j + 1]
         values += [0.6, 0.8]
-    cells += [(150, 199), (151, 190)]  # a pure relabel, and a single -1 that is a block
+    keys += [150 * 200 + 199, 151 * 200 + 190]  # a pure relabel, and a single -1 that is a block
     values += [1.0, -1.0]
-    matrix = Columns.from_entries(200, cells, values)
+    matrix = Columns.from_entries(200, keys, values)
     blocks = _blocks(matrix, range(200))
     assert [[int(c) for c in block[1]] for block in blocks] == [
         list(range(150)), [151], *([c] for c in range(152, 200))
