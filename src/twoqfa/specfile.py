@@ -142,7 +142,7 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             source, target, real, imag = args
             if source not in index or target not in index:
                 raise SpecFormatError(f"row references unknown state: {line!r}")
-            cell = index[source] * len(index) + index[target]
+            cell = index[source] * len(states) + index[target]
             if cell in current:
                 raise SpecFormatError(f"row line appears twice: {line!r}")
             current[cell] = complex(_number(float, real, line), _number(float, imag, line))

@@ -259,7 +259,10 @@ def test_columns_keep_each_nonzero_once_in_row_order():
 
 
 def test_blocks_follow_chains_of_shared_rows():
-    """A chain of columns linked row by row is one block; relabels are left out, empty columns last."""
+    """A chain of columns linked row by row is one block.
+
+    A pure relabel is left out, and empty columns come last as blocks without rows.
+    """
     keys, values = [], []
     for j in range(150):  # column j on rows j and j + 1
         keys += [j * 200 + j, j * 200 + j + 1]
