@@ -30,6 +30,16 @@ def test_save_and_load_through_a_file(tmp_path):
     assert load_spec(path) == spec
 
 
+def test_zero_rows_are_not_stored():
+    """A row of 0.0 or -0.0 sets an entry that is zero anyway: the machine and its bytes stay."""
+    spec = build_m1()
+    text = dumps_spec(spec)
+    padded = text.replace("matrix #\n", "matrix #\nrow q0 q1 0.0 0.0\nrow q1 q1 -0.0 0.0\n")
+    assert padded != text
+    assert loads_spec(padded) == spec
+    assert dumps_spec(loads_spec(padded)) == text
+
+
 def test_padded_entries_survive_the_round_trip():
     spec = build_m1()
     assert spec.padded_entries
