@@ -15,9 +15,10 @@ keys a configuration by the int position * S + state and looks up how that
 key steps in a flat table of S entries per tape cell; most entries of the
 bundled machines are pure relabels, one transition of weight exactly 1 to a
 running state that no other source reaches, which move an amplitude without
-multiplying it.  Most steps of their runs meet only relabels; such a step
-coasts, moving the keys and keeping the amplitudes and the last residual
-mass, so only the few others sum, measure and rebuild the live set.  A denser
+multiplying it.  Configurations on chains of relabels never meet, so each
+walks its chain on its own clock, and a run jumps from event to event: only
+the keys that meet any other entry sum, measure and rebuild the live set, and
+the steps in between repeat the last residual mass.  A denser
 machine, such as a Haar-random one, soon makes most of its tape live, so
 ``_Evolution`` multiplies the whole array, one product per symbol.  It keeps
 the array in the order a step reads it (``_Layout``): the tape columns
@@ -255,74 +256,91 @@ class _Evolution:
             cells[targets] = matrix[:, : self.inner] @ data[:, lo:hi]
         return out
 
-    def step(self) -> list[float]:
-        """One step of data and its measurement; returns the residual, accept and reject mass."""
+    def step(self, limit: int) -> tuple[float, float, float, int]:
+        """One step of data and its measurement; returns the residual, accept and reject mass and 1."""
         data = self.data = self.apply()
         running = self.inner = self.layout.running
         halting = running + self.layout.accepting
-        return [
+        return (
             _norm_squared(data[:running]),
             _norm_squared(data[running:halting]),
             _norm_squared(data[halting:]),
-        ]
+            1,
+        )
 
 
 class _Frontier:
-    """The live configurations of one run, stepped one configuration at a time.
+    """The live configurations of one run, each on its own clock.
 
-    keys holds the key position * S + state of each live configuration and
-    amplitudes its nonzero amplitude, in the same order; table, from
-    ``_flat_table``, holds the step entry of every key.  A relabel moves an
-    amplitude to key + entry as it is; any other entry sends each product to
-    the running, accepting or rejecting sums by its role.  Products are
-    summed per target key (``advance``) before the halting mass is taken
-    off, so amplitudes interfere first.  A step whose keys all meet relabels
-    coasts: no other key reaches a relabel's target, so it moves the keys
-    alone and returns the last measured residual with no halting mass.
+    live maps each live configuration to its nonzero amplitude by the key
+    due * K + position * S + state, where K = L * S is the length of table,
+    from ``_flat_table``, the step entry of every key.  A relabel moves an
+    amplitude to key + entry as it is, and no other key reaches its target,
+    so configurations on relabel chains never meet: each walks its chain to
+    the step `due` at which it sits on any other entry.  The next full step
+    is the smallest due plus one; only the keys due then step (``advance``),
+    and the steps before it repeat the last residual with no halting mass.
     """
 
     def __init__(self, table: list, keys: list[int], amplitudes: list[complex]):
         self.table = table
-        self.keys = keys
-        self.amplitudes = amplitudes
-        self.residual = None
+        self.live = dict(zip(keys, amplitudes))
+        self.now = 0
 
-    def advance(self) -> tuple[dict[int, complex], dict[int, complex], dict[int, complex]]:
-        """One step's products summed per target key and not yet measured.
+    def advance(self, due: int = 0) -> tuple[dict[int, complex], dict[int, complex], dict[int, complex]]:
+        """The products of the keys due at step `due`, summed per target key, not yet measured.
 
-        Returns the running, accepting and rejecting sums, each in the order
-        in which its keys were first reached.
+        Returns the running, accepting and rejecting sums, keyed at step
+        due + 1, each in the order in which its keys were first reached; a
+        key due later passes through the running sums in its place, so the
+        sums keep the order of one step at a time.
         """
         table = self.table
+        size = len(table)
+        later = (due + 1) * size
         sums = live, _, _ = {}, {}, {}
-        for key, amplitude in zip(self.keys, self.amplitudes):
-            entry = table[key]
+        for key, amplitude in self.live.items():
+            if key >= later:
+                live[key] = amplitude
+                continue
+            entry = table[key % size]
             if entry.__class__ is int:
-                live[key + entry] = amplitude
+                live[key + size + entry] = amplitude
             else:
                 for delta, weight, role in entry:
                     target = sums[role]
-                    k = key + delta
+                    k = key + size + delta
                     target[k] = target.get(k, 0j) + weight * amplitude
         return sums
 
-    def step(self) -> list[float]:
-        """One step and its measurement; returns the residual, accept and reject mass."""
-        if self.residual is not None:
-            table = self.table
-            try:
-                # int + tuple raises at the first key that is not a relabel
-                self.keys = [key + table[key] for key in self.keys]
-                return [self.residual, 0.0, 0.0]
-            except TypeError:
-                pass
-        live, accept, reject = self.advance()
+    def step(self, limit: int) -> tuple[float, float, float, int]:
+        """Up to `limit` steps, through the next full one: its three masses and the steps taken.
+
+        With no key due sooner, it coasts all `limit` steps on the last residual.
+        """
+        table = self.table
+        size = len(table)
+        end = self.now + limit
+        due = min(self.live) // size
+        if due >= end:
+            self.now = end
+            return _mass(self.live.values()), 0.0, 0.0, limit
+        live, accept, reject = self.advance(due)
         if 0j in live.values():  # cancelled exactly: a zero entry, as in the array
             live = {key: amplitude for key, amplitude in live.items() if amplitude}
-        self.keys = list(live)
-        self.amplitudes = list(live.values())
-        self.residual = _mass(self.amplitudes)
-        return [self.residual, _mass(accept.values()), _mass(reject.values())]
+        taken, self.now = due + 1 - self.now, due + 1
+        self.live = walked = {}
+        for key, amplitude in live.items():
+            t, key = divmod(key, size)
+            for t in range(t, end):
+                entry = table[key]
+                if entry.__class__ is not int:
+                    break
+                key += entry
+            else:
+                t = end
+            walked[t * size + key] = amplitude
+        return _mass(live.values()), _mass(accept.values()), _mass(reject.values()), taken
 
 
 def _mass(amplitudes) -> float:
@@ -353,7 +371,7 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
     out = AmplitudeVector(spec, length)
     for sums in _Frontier(tables, keys, values).advance():
         for key, amplitude in sums.items():
-            out.data[key % n, key // n] = amplitude
+            out.data[key % n, key // n - length] = amplitude
     return out
 
 
@@ -413,11 +431,16 @@ def run(
     halted = False
     records: list[tuple[float, float, float]] = []
 
-    for steps in range(1, max_steps + 1):
-        residual_mass, gain_accept, gain_reject = engine.step()
+    steps = 0
+    while steps < max_steps:
+        coasted = (p_accept, p_reject, residual_mass)
+        residual_mass, gain_accept, gain_reject, taken = engine.step(max_steps - steps)
+        steps += taken
         p_accept += gain_accept
         p_reject += gain_reject
         if trace:
+            # all but the last step taken coasted: the last residual, no halting mass
+            records += [coasted] * (taken - 1)
             records.append((p_accept, p_reject, residual_mass))
         if residual_mass < halt_threshold:
             halted = True

@@ -90,8 +90,9 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
     alphabet: tuple[str, ...] | None = None
     head_fn: dict[str, int] = {}
     padded: list[tuple[str, str]] = []
-    matrices: dict[str, dict[int, complex]] = {}  # source * S + target: value
-    current: dict[int, complex] | None = None  # the open matrix section
+    matrices: dict[str, Columns] = {}
+    section: str | None = None  # the symbol of the open matrix section
+    rows: dict[int, complex] = {}  # its rows, source * S + target: value
     index: dict[str, int] = {}
     seen: set[str] = set()  # the once-only directives met so far
 
@@ -130,12 +131,14 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
         elif directive == "matrix":
             if states is None:
                 raise SpecFormatError("matrix section before states")
-            symbol = _one(args, "matrix")
-            if symbol in matrices:
-                raise SpecFormatError(f"matrix for {symbol!r} appears twice")
-            current = matrices[symbol] = {}
+            if section is not None:
+                matrices[section] = _columns(len(states), rows)
+            section = _one(args, "matrix")
+            if section in matrices:
+                raise SpecFormatError(f"matrix for {section!r} appears twice")
+            rows = {}
         elif directive == "row":
-            if current is None:
+            if section is None:
                 raise SpecFormatError("row line outside a matrix section")
             if len(args) != 4:
                 raise SpecFormatError(f"bad row line: {line!r}")
@@ -143,14 +146,16 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             if source not in index or target not in index:
                 raise SpecFormatError(f"row references unknown state: {line!r}")
             cell = index[source] * len(states) + index[target]
-            if cell in current:
+            if cell in rows:
                 raise SpecFormatError(f"row line appears twice: {line!r}")
-            current[cell] = complex(_number(float, real, line), _number(float, imag, line))
+            rows[cell] = complex(_number(float, real, line), _number(float, imag, line))
         else:
             raise SpecFormatError(f"unknown directive {directive!r}")
 
     if states is None or initial is None or alphabet is None:
         raise SpecFormatError("states, initial and alphabet lines are required")
+    if section is not None:
+        matrices[section] = _columns(len(states), rows)
     try:
         return TwoWayQfaSpec(
             states=states,
@@ -158,10 +163,7 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
             initial_state=initial,
             accept_states=accept,
             reject_states=reject,
-            symbol_unitaries={
-                symbol: Columns.from_entries(len(states), list(entries), list(entries.values()))
-                for symbol, entries in matrices.items()
-            },
+            symbol_unitaries=matrices,
             head_fn=head_fn,
             name=name,
             n_paths=n_paths,
@@ -174,6 +176,11 @@ def loads_spec(text: str) -> TwoWayQfaSpec:
 def load_spec(path: str) -> TwoWayQfaSpec:
     with open(path, "r", encoding="utf-8") as handle:
         return loads_spec(handle.read())
+
+
+def _columns(n: int, rows: dict[int, complex]) -> Columns:
+    """One matrix section's rows as columns; each section is built when it closes."""
+    return Columns.from_entries(n, list(rows), list(rows.values()))
 
 
 def _number(convert, token: str, line: str):

@@ -3,7 +3,10 @@
 Each ``BENCH_*.json`` compares a change with its parent commit on the
 benchmark's workloads.  A backfilled file was rebuilt from figures quoted
 elsewhere and may lack the per-pair detail; any other file records the
-claim it tested and every pair of runs, one per seed.
+claim it tested and every pair of runs, one per seed.  From ``BENCH_14.json``
+on, a measured file also records each run's timed passes beside the
+long_words peak RSS, because the benchmark keeps one float per operation of
+every pass, so the pass count moves that metric as much as the program does.
 """
 
 from __future__ import annotations
@@ -43,3 +46,21 @@ def test_bench_file_has_the_common_layout(path):
                 pairs = metric["per_pair"]
                 assert len(pairs) == record["pairs"], (workload, name)
                 assert [pair["seed"] for pair in pairs] == record["seeds"], (workload, name)
+
+
+def _record(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+#: the measured files from BENCH_14.json on
+WITH_PASSES = [
+    path for path in FILES
+    if int(path.stem.split("_")[1]) >= 14 and not _record(path)["backfilled"]
+]
+
+
+@pytest.mark.parametrize("path", WITH_PASSES, ids=lambda path: path.name)
+def test_long_words_peak_rss_pairs_record_their_passes(path):
+    for pair in _record(path)["workloads"]["long_words"]["peak_rss_mb"]["per_pair"]:
+        for side in ("parent_passes", "change_passes"):
+            assert isinstance(pair.get(side), int) and pair[side] > 0, (pair["seed"], side)

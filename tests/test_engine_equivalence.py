@@ -291,6 +291,113 @@ def test_frontier_runs_coast_through_relabel_steps(m2_10, m3_5):
     assert _steps_and_advances(m3_5, "a" * 14 + "b" * 14 + "c" * 14) == (303, 5)
 
 
+def _events(spec, word) -> tuple[core.RunResult, list[int]]:
+    """A traced run and the steps at which it took a full step."""
+    events = []
+    advance = core._Frontier.advance
+
+    def spy(self, due=0):
+        events.append(due + 1)
+        return advance(self, due)
+
+    with mock.patch.object(core._Frontier, "advance", spy):
+        result = run(spec, word, trace=True)
+    return result, events
+
+
+#: a member and a word of unequal counts for each machine; members halt at
+#: one full step, the others lose their mass over several
+_MEMBERS = [("m2_10", "(" * 16 + ")" * 16), ("m3_5", "a" * 14 + "b" * 14 + "c" * 14)]
+_UNEQUAL = [("m2_10", "(" * 12 + ")" * 16), ("m3_5", "a" * 10 + "b" * 14 + "c" * 12)]
+_EVENT_RUNS = _MEMBERS + _UNEQUAL
+
+
+@pytest.mark.parametrize("name, word", _EVENT_RUNS)
+def test_coasted_steps_repeat_the_last_trace_row(name, word, request):
+    """Between two full steps the residual stays and no halting mass is gained."""
+    spec = request.getfixturevalue(name)
+    result, events = _events(spec, word)
+    assert result.halted and events[-1] == result.steps
+    assert 1 < len(events) < result.steps / 10
+    assert result.trace[0] == (0.0, 0.0, 1.0)
+    for steps in set(range(2, result.steps + 1)) - set(events):
+        assert result.trace[steps - 1] == result.trace[steps - 2], steps
+    assert _close(result.trace, reference_run(spec, word, trace=True).trace)
+
+
+@pytest.mark.parametrize("name, word", _EVENT_RUNS)
+def test_every_budget_ends_the_run_at_its_step(name, word, request):
+    """A budget that ends between two full steps stops there, not at either event.
+
+    A run cut at step b is the first b steps of the whole run: not halted
+    unless b is the halting step, with the residual and the sums of its
+    last trace row.
+    """
+    spec = request.getfixturevalue(name)
+    whole, events = _events(spec, word)
+    between = [b for b in range(1, whole.steps) if b not in events]
+    assert len(between) > 0.9 * whole.steps
+    for budget in range(1, whole.steps + 1):
+        cut = run(spec, word, max_steps=budget, trace=True)
+        assert cut.steps == budget
+        assert cut.halted is (budget == whole.steps)
+        assert cut.trace == whole.trace[:budget]
+        assert (cut.p_accept, cut.p_reject, cut.p_residual) == whole.trace[budget - 1]
+
+
+@pytest.mark.parametrize("name, word", _UNEQUAL)
+def test_a_halt_threshold_is_crossed_at_a_full_step(name, word, request):
+    """The residual moves only on full steps, so a run halts on one of them."""
+    spec = request.getfixturevalue(name)
+    whole, events = _events(spec, word)
+    threshold = 0.45
+    at = next(b for b, row in enumerate(whole.trace, 1) if row[2] < threshold)
+    assert at in events and at < whole.steps
+    result = run(spec, word, halt_threshold=threshold, trace=True)
+    assert result.halted and result.steps == at
+    assert result.trace == whole.trace[:at]
+    assert (result.p_accept, result.p_reject, result.p_residual) == whole.trace[at - 1]
+    assert result.p_residual < threshold <= whole.trace[at - 2][2]
+
+
+def _cycling(moves: list[int], matrix: np.ndarray) -> TwoWayQfaSpec:
+    """A machine with one matrix of weights exactly 1 for every tape symbol."""
+    states = tuple(f"s{i}" for i in range(len(moves)))
+    return TwoWayQfaSpec(
+        states=states,
+        input_alphabet=("a",),
+        initial_state="s0",
+        accept_states=frozenset(),
+        reject_states=frozenset({states[-1]}),
+        symbol_unitaries={s: matrix for s in ("#", "a", "$")},
+        head_fn=dict(zip(states, moves)),
+    )
+
+
+@pytest.mark.parametrize(
+    "moves, matrix",
+    [
+        ([0, 0, 0], np.eye(3)),  # stays in place on itself
+        ([0, 0, 0], np.eye(3)[[1, 0, 2]]),  # s0 and s1 swap in place
+        ([1, -1, 0], np.eye(3)),  # goes round the circular tape
+        ([1, 1, 0], np.eye(3)[[1, 0, 2]]),  # swaps while it goes round
+    ],
+    ids=["self-loop", "swap", "round-the-tape", "swap-round-the-tape"],
+)
+@pytest.mark.parametrize("word", ["", "a", "aaaaa"])
+@pytest.mark.parametrize("max_steps", [None, 1, 2, 97])
+def test_relabel_cycles_run_to_the_budget(moves, matrix, word, max_steps):
+    """A chain of relabels that closes on itself is walked up to the budget, no further."""
+    spec = _cycling(moves, matrix)
+    assert spec._sparse
+    assert all(entry.__class__ is int for entries in spec._steps for entry in entries[:2])
+    budget = max_steps or core.MAX_STEPS_FACTOR * (len(word) + 2)
+    result = run(spec, word, max_steps=max_steps, trace=True)
+    assert result == reference_run(spec, word, max_steps=max_steps, trace=True)
+    assert (result.steps, result.halted, result.p_residual) == (budget, False, 1.0)
+    assert result.trace == ((0.0, 0.0, 1.0),) * budget
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_bundled_machines(), _random_machines()))
 @example(_RELABEL)
