@@ -302,9 +302,7 @@ class _Frontier:
         for key, amplitude in self.live.items():
             if key >= later:
                 live[key] = amplitude
-                continue
-            entry = table[key % size]
-            if entry.__class__ is int:
+            elif (entry := table[key % size]).__class__ is int:
                 live[key + size + entry] = amplitude
             else:
                 for delta, weight, role in entry:
@@ -329,17 +327,20 @@ class _Frontier:
         if 0j in live.values():  # cancelled exactly: a zero entry, as in the array
             live = {key: amplitude for key, amplitude in live.items() if amplitude}
         taken, self.now = due + 1 - self.now, due + 1
+        fresh = (due + 2) * size  # keys at step due + 1 walk on to their due, or to end
         self.live = walked = {}
         for key, amplitude in live.items():
-            t, key = divmod(key, size)
-            for t in range(t, end):
-                entry = table[key]
-                if entry.__class__ is not int:
-                    break
-                key += entry
-            else:
-                t = end
-            walked[t * size + key] = amplitude
+            if key < fresh:
+                t, key = divmod(key, size)
+                for t in range(t, end):
+                    entry = table[key]
+                    if entry.__class__ is not int:
+                        break
+                    key += entry
+                else:
+                    t = end
+                key += t * size
+            walked[key] = amplitude
         return _mass(live.values()), _mass(accept.values()), _mass(reject.values()), taken
 
 
