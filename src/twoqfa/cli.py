@@ -2,7 +2,8 @@
 
 Subcommands: validate, run, sweep, transcribe, qft.  Machines are selected
 by built-in name (m1, m2, m3) or by path to a machine text file; the path
-adapters (--n-paths) apply only to the built-in split machines.  End-markers
+adapters (--n-paths, at most 100) apply only to the built-in split machines;
+qft takes --n up to 1000, and larger values are usage errors.  End-markers
 are never typed by the user; words are wrapped internally.  For the
 parenthesis alphabet the aliases "o" and "c" are accepted to ease shell
 quoting.
@@ -30,7 +31,7 @@ from .chem import Recipe, parse_recipe, signature, transcribe
 from .core import DEFAULT_HALT_THRESHOLD, RunResult, run
 from .errors import RecipeError, SpecFormatError
 from .machine import TwoWayQfaSpec, validate
-from .machines import BUILT_IN, build, qft_matrix
+from .machines import BUILT_IN, MAX_N_PATHS, MAX_QFT_N, build, qft_matrix
 from .specfile import load_spec, save_spec
 
 _FORMATS = click.Choice(["human", "structured", "csv"])
@@ -128,7 +129,7 @@ def main() -> None:
 
 @main.command(name="validate")
 @click.option("--machine", required=True, help="m1, m2, m3 or a machine file path.")
-@click.option("--n-paths", type=int, default=None, help="Path count for m2/m3.")
+@click.option("--n-paths", type=int, default=None, help=f"Path count for m2/m3, 2 to {MAX_N_PATHS}.")
 @click.option("--format", "fmt", type=_REPORT_FORMATS, default="human")
 @click.option(
     "--export-spec", "export_path", type=click.Path(dir_okay=False), default=None,
@@ -174,7 +175,7 @@ def validate_cmd(ctx, machine, n_paths, fmt, export_path) -> None:
 
 @main.command(name="run")
 @click.option("--machine", required=True, help="m1, m2, m3 or a machine file path.")
-@click.option("--n-paths", type=int, default=None, help="Path count for m2/m3.")
+@click.option("--n-paths", type=int, default=None, help=f"Path count for m2/m3, 2 to {MAX_N_PATHS}.")
 @click.option("--word", default=None, help="Input word (end-markers added internally).")
 @click.option(
     "--recipe", "recipe_path", type=click.Path(dir_okay=False), default=None,
@@ -232,7 +233,7 @@ def run_cmd(machine, n_paths, word, recipe_path, fmt, max_steps, halt_threshold,
 
 @main.command(name="sweep")
 @click.option("--machine", required=True, help="m1, m2, m3 or a machine file path.")
-@click.option("--n-paths", type=int, default=None, help="Path count for m2/m3.")
+@click.option("--n-paths", type=int, default=None, help=f"Path count for m2/m3, 2 to {MAX_N_PATHS}.")
 @click.option(
     "--lang", required=True,
     type=click.Choice([lang.value for lang in LanguageId], case_sensitive=False),
@@ -295,12 +296,14 @@ def transcribe_cmd(recipe_path, fmt) -> None:
 
 
 @main.command(name="qft")
-@click.option("--n", "n_paths", type=int, required=True, help="Path count N >= 1.")
+@click.option("--n", "n_paths", type=int, required=True, help=f"Path count N, 1 to {MAX_QFT_N}.")
 @click.option("--format", "fmt", type=_REPORT_FORMATS, default="human")
 def qft_cmd(n_paths, fmt) -> None:
     """Print the N-path Fourier acceptance matrix."""
     if n_paths < 1:
         raise click.UsageError("--n must be at least 1")
+    if n_paths > MAX_QFT_N:
+        raise click.UsageError(f"--n must be at most {MAX_QFT_N}")
     matrix = qft_matrix(n_paths)
     if fmt == "structured":
         record = {

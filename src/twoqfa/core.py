@@ -18,7 +18,12 @@ running state that no other source reaches, which move an amplitude without
 multiplying it.  Configurations on chains of relabels never meet, so each
 walks its chain on its own clock, and a run jumps from event to event: only
 the keys that meet any other entry sum, measure and rebuild the live set, and
-the steps in between repeat the last residual mass.  A denser
+the steps in between repeat the last residual mass.  Inside a block of one
+input symbol most chains run into a cycle of relabels that moves the head a
+cell or more each period, so ``run`` stamps cycle anchors on the cell at
+which such a cycle enters a long block, and a walk that meets one skips
+every whole period that stays inside the block and the budget at once: a
+walk costs a few reads per block it crosses, not one per step.  A denser
 machine, such as a Haar-random one, soon makes most of its tape live, so
 ``_Evolution`` multiplies the whole array, one product per symbol.  It keeps
 the array in the order a step reads it (``_Layout``): the tape columns
@@ -36,11 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .errors import AlphabetError
-from .machine import LEFT_MARKER, RIGHT_MARKER, TwoWayQfaSpec
+from .machine import LEFT_MARKER, RIGHT_MARKER, CycleAnchor, TwoWayQfaSpec
 
 #: residual mass below which a run counts as halted
 DEFAULT_HALT_THRESHOLD = 1e-12
@@ -208,6 +214,31 @@ def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
     return table
 
 
+def _stamp_anchors(spec: TwoWayQfaSpec, symbols: list[int], table: list) -> dict[int, int]:
+    """Stamp cycle anchors on the entry cells of the word's long blocks; returns their lengths.
+
+    A block is a run of one input symbol.  For each direction group of the
+    symbol's ``TwoWayQfaSpec._anchors`` in which some cycle runs two whole
+    periods inside the block, the group's row replaces the S entries of the
+    cell at which configurations moving that way enter: the left end for
+    cycles that move right, the right end for the others.  The returned dict
+    maps each stamped cell to the length of its block.
+    """
+    anchors = spec._anchors
+    n = len(spec.states)
+    blocks = {}
+    lo = 0
+    for symbol, cells in groupby(symbols):
+        hi = lo + len(list(cells))
+        for left, least, row in anchors.get(symbol, ()):
+            if hi - lo >= least:
+                cell = lo if left else hi - 1
+                table[cell * n:(cell + 1) * n] = row
+                blocks[cell] = hi - lo
+        lo = hi
+    return blocks
+
+
 def _word_tables(spec: TwoWayQfaSpec, word: str) -> list:
     """The index tables of the machine's engine for the tape of `word`."""
     symbols = _tape_symbols(spec, word)
@@ -280,12 +311,22 @@ class _Frontier:
     the step `due` at which it sits on any other entry.  The next full step
     is the smallest due plus one; only the keys due then step (``advance``),
     and the steps before it repeat the last residual with no halting mass.
+
+    In the table of a run, the entry cell of a long block may hold
+    ``CycleAnchor`` entries (``_stamp_anchors``); blocks maps each such cell
+    to its block's length and states is S.  A walk that meets an anchor
+    skips the whole periods that read only cells of the block and end
+    within the budget, or, if there are none, takes the anchor's relabel;
+    it never stops on an anchor, so ``advance`` never reads one.
     """
 
-    def __init__(self, table: list, keys: list[int], amplitudes: list[complex]):
+    def __init__(self, table: list, keys: list[int], amplitudes: list[complex],
+                 states: int = 1, blocks: dict[int, int] | None = None):
         self.table = table
         self.live = dict(zip(keys, amplitudes))
         self.now = 0
+        self.states = states
+        self.blocks = blocks
 
     def advance(self, due: int = 0) -> tuple[dict[int, complex], dict[int, complex], dict[int, complex]]:
         """The products of the keys due at step `due`, summed per target key, not yet measured.
@@ -328,17 +369,31 @@ class _Frontier:
             live = {key: amplitude for key, amplitude in live.items() if amplitude}
         taken, self.now = due + 1 - self.now, due + 1
         fresh = (due + 2) * size  # keys at step due + 1 walk on to their due, or to end
+        blocks, n = self.blocks, self.states
         self.live = walked = {}
         for key, amplitude in live.items():
             if key < fresh:
                 t, key = divmod(key, size)
-                for t in range(t, end):
-                    entry = table[key]
-                    if entry.__class__ is not int:
+                while True:
+                    for t in range(t, end):
+                        entry = table[key]
+                        if entry.__class__ is not int:
+                            break
+                        key += entry
+                    else:
+                        t = end
                         break
-                    key += entry
-                else:
-                    t = end
+                    if entry.__class__ is not CycleAnchor:
+                        break
+                    # whole periods inside the block and the budget, else one relabel
+                    delta, period, shift, stride, reach = entry
+                    m = min((blocks[key // n] - 1 - reach) // stride + 1, (end - t) // period)
+                    if m > 0:
+                        key += m * shift
+                        t += m * period
+                    else:
+                        key += delta
+                        t += 1
                 key += t * size
             walked[key] = amplitude
         return _mass(live.values()), _mass(accept.values()), _mass(reject.values()), taken
@@ -419,12 +474,16 @@ def run(
         raise ValueError("max_steps must be at least 1")
     if not 0 < halt_threshold < 1:
         raise ValueError("halt_threshold must lie strictly between 0 and 1")
-    tables = _word_tables(spec, word)
+    symbols = _tape_symbols(spec, word)
     if spec._sparse:
+        table = _flat_table(spec, symbols)
+        blocks = _stamp_anchors(spec, symbols, table)
         # the initial configuration sits at position 0, so its key is its state
-        engine = _Frontier(tables, [spec.state_index(spec.initial_state)], [1 + 0j])
+        initial = [spec.state_index(spec.initial_state)]
+        engine = _Frontier(table, initial, [1 + 0j], len(spec.states), blocks)
     else:
-        engine = _Evolution(tables, tables.sort(initial_vector(spec, word).data))
+        layout = _Layout(spec, symbols)
+        engine = _Evolution(layout, layout.sort(initial_vector(spec, word).data))
 
     p_accept = 0.0
     p_reject = 0.0

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -206,6 +207,7 @@ class TwoWayQfaSpec:
         # those deltas by L * n, the number of keys on its tape of L cells.
         self._steps: list[list[int | tuple[tuple[int, complex, int], ...]]] = []
         self._wrapping: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [])
+        self._anchors: dict[int, list[tuple[bool, int, list]]] = {}
         if self._sparse:
             moves = self._move_column[:, 0].tolist()
             roles = self._halt_role.tolist()
@@ -228,6 +230,11 @@ class TwoWayQfaSpec:
                     self._wrapping[symbol == last].extend(
                         (source, tuple(off)) for source, off in enumerate(off_tape) if any(off)
                     )
+            # per input symbol, the rows of cycle anchors that a run stamps on
+            # the entry cells of the blocks of that symbol (``_cycle_anchors``)
+            for symbol in range(1, last):
+                if groups := _cycle_anchors(self._steps[symbol], moves):
+                    self._anchors[symbol] = groups
 
     @property
     def tape_alphabet(self) -> tuple[str, ...]:
@@ -235,6 +242,75 @@ class TwoWayQfaSpec:
 
     def state_index(self, state: str) -> int:
         return self._state_index[state]
+
+
+class CycleAnchor(tuple):
+    """A pure relabel on a cycle of relabels, as a run's table holds it on a block's entry cell.
+
+    The fields are (delta, period, shift, stride, reach).  delta is the int
+    key delta it stands for.  After period steps on the block the
+    configuration is back in its state, shift keys, which are stride cells,
+    further on; reach is the furthest cell ahead of its own that a period
+    reads.  As a tuple subclass it fails the frontier's int test, so a walk
+    stops on it and jumps.
+    """
+
+    __slots__ = ()
+
+
+def _cycle_anchors(row: list, moves: list[int]) -> list[tuple[bool, int, list]]:
+    """The anchor rows of one input symbol, from its step entries `row`.
+
+    The pure relabels of a symbol map each source to one target, no two
+    sources to the same target, so they split into chains and cycles.  On a
+    block of the symbol, a configuration on a cycle of period p that moves
+    the head D != 0 cells a period is back in its state every p steps, D
+    cells further on, as long as every cell a period reads lies in the
+    block; the frontier crosses those stretches in one jump.  A cycle that
+    stays in place (D = 0) is never anchored.  A state is anchored when its
+    period reads no cell behind the one it starts on, so its jump may start
+    on the cell at which configurations moving that way enter the block.
+
+    Returns one group per direction of D that has anchors: whether the entry
+    cell is the block's left end (D > 0), the fewest cells in which some
+    anchor runs two whole periods, and `row` with each anchored state's int
+    replaced by its ``CycleAnchor``.
+    """
+    n = len(row)
+    target = {source: (source + entry) % n for source, entry in enumerate(row)
+              if entry.__class__ is int}
+    groups: dict[bool, tuple[int, list]] = {}
+    seen = set()
+    for start in target:
+        cycle, state = [], start
+        while state in target and state not in seen:
+            seen.add(state)
+            cycle.append(state)
+            state = target[state]
+        if state != start:
+            continue
+        # the cell each state of the cycle reads, from start's cell, along D
+        cells = list(accumulate((moves[target[state]] for state in cycle), initial=0))
+        shift = cells.pop()
+        if not shift:
+            continue
+        sign, stride = (1, shift) if shift > 0 else (-1, -shift)
+        cells = [sign * cell for cell in cells]
+        # one period from state k reads cells[k:] and then cells[:k] + stride
+        lowest = list(accumulate(reversed(cells), min))[::-1]
+        highest = list(accumulate(reversed(cells), max))[::-1]
+        before = list(accumulate(cells, min, initial=math.inf))
+        furthest = list(accumulate(cells, max, initial=-math.inf))
+        least, anchored = groups.get(sign > 0, (math.inf, list(row)))
+        for k, state in enumerate(cycle):
+            if lowest[k] < cells[k] or before[k] + stride < cells[k]:
+                continue
+            reach = max(highest[k], furthest[k] + stride) - cells[k]
+            anchored[state] = CycleAnchor((row[state], len(cycle), shift * n, stride, reach))
+            least = min(least, reach + stride + 1)
+        if least < math.inf:
+            groups[sign > 0] = (least, anchored)
+    return [(left, least, anchored) for left, (least, anchored) in groups.items()]
 
 
 def amplitude_of(

@@ -256,6 +256,13 @@ def test_run_on_a_machine_file(runner, tmp_path):
         ("validate", "--machine", "undecodable.2qfa"),
         ("transcribe", "--recipe", "undecodable.recipe"),
         ("run", "--machine", "m1", "--recipe", "undecodable.recipe"),
+        # one past each cap, and far past it: both fail before anything is built
+        ("qft", "--n", "1001"),
+        ("qft", "--n", "100000"),
+        ("run", "--machine", "m2", "--n-paths", "101", "--word", "()"),
+        ("run", "--machine", "m2", "--n-paths", "100000", "--word", "()"),
+        ("validate", "--machine", "m3", "--n-paths", "101"),
+        ("sweep", "--machine", "m2", "--n-paths", "101", "--lang", "l2_dyck", "--max-len", "2"),
     ],
 )
 def test_usage_errors_exit_with_code_two(runner, args, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ flag agrees and every deviation agrees to 1e-12 (unitarity bit for bit).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -28,7 +29,7 @@ from reference_validate import masked_validate
 
 from twoqfa import core
 from twoqfa.core import AmplitudeVector, initial_vector, measure, run, step
-from twoqfa.machine import DEFAULT_TOLERANCE, TwoWayQfaSpec, validate
+from twoqfa.machine import DEFAULT_TOLERANCE, CycleAnchor, TwoWayQfaSpec, validate
 from twoqfa.machines import build_m1, build_m2, build_m3
 from twoqfa.specfile import dumps_spec, loads_spec
 
@@ -389,11 +390,183 @@ def test_relabel_cycles_run_to_the_budget(moves, matrix, word, max_steps):
     spec = _cycling(moves, matrix)
     assert spec._sparse
     assert all(entry.__class__ is int for entries in spec._steps for entry in entries[:2])
+    # a cycle that stays in place is never anchored; one that goes round the
+    # tape is anchored on its letter, but a jump stays inside a block
+    assert bool(spec._anchors) is any(moves[:2])
     budget = max_steps or core.MAX_STEPS_FACTOR * (len(word) + 2)
     result = run(spec, word, max_steps=max_steps, trace=True)
     assert result == reference_run(spec, word, max_steps=max_steps, trace=True)
+    assert result == _unjumped(spec, word, max_steps=max_steps, trace=True)
     assert (result.steps, result.halted, result.p_residual) == (budget, False, 1.0)
     assert result.trace == ((0.0, 0.0, 1.0),) * budget
+
+
+class _CountingTable(list):
+    """A frontier table that counts how often a run reads one of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingTable.reads += 1
+        return list.__getitem__(self, key)
+
+
+def _table_reads(spec, word, **options) -> tuple[core.RunResult, int]:
+    """A run and the number of table entries it read."""
+    flat_table = core._flat_table
+    _CountingTable.reads = 0
+    with mock.patch.object(
+        core, "_flat_table", lambda spec, symbols: _CountingTable(flat_table(spec, symbols))
+    ):
+        result = run(spec, word, **options)
+    return result, _CountingTable.reads
+
+
+def _unjumped(spec, word, **options) -> core.RunResult:
+    """A run with no cycle anchor stamped, so every key walks one step at a time."""
+    with mock.patch.object(core, "_stamp_anchors", lambda spec, symbols, table: {}):
+        return run(spec, word, **options)
+
+
+#: one long-block word per machine; most of its budgets end inside a jump
+_LONG_BLOCKS = [("m2_10", "(" * 64 + ")" * 64), ("m3_5", "a" * 40 + "b" * 41 + "c" * 40)]
+
+
+def test_a_long_block_is_crossed_in_jumps(m2_10, m3_20):
+    """Keys on relabel cycles cross a block in a few reads, not one read a step.
+
+    Walked one step at a time, m2 N=10 reads 8,494 entries on the word below
+    and m3 N=20 3,444,439; with the jumps they read 68 and 2,568.
+    """
+    for spec, word, bound in ((m2_10, "(" * 64 + ")" * 64, 500),
+                              (m3_20, "a" * 341 + "b" * 342 + "c" * 341, 20_000)):
+        result, reads = _table_reads(spec, word)
+        assert result.halted and reads < bound
+        assert result == _unjumped(spec, word)
+
+
+@pytest.mark.parametrize("name, word", _LONG_BLOCKS)
+def test_every_budget_on_a_long_block_ends_the_run_at_its_step(name, word, request):
+    """A budget that ends inside a jump stops the run there, with the rows of the whole run."""
+    spec = request.getfixturevalue(name)
+    whole, reads = _table_reads(spec, word, trace=True)
+    assert whole.halted and reads < whole.steps / 4
+    assert _close(whole.trace, reference_run(spec, word, trace=True).trace)
+    for budget in range(1, whole.steps + 1):
+        cut = run(spec, word, max_steps=budget, trace=True)
+        assert cut.steps == budget
+        assert cut.halted is (budget == whole.steps)
+        assert cut.trace == whole.trace[:budget]
+        assert (cut.p_accept, cut.p_reject, cut.p_residual) == whole.trace[budget - 1]
+
+
+def _pacing() -> TwoWayQfaSpec:
+    """A relabel cycle of period 3 that moves one cell right a period, on every symbol.
+
+    s0 enters each cell, s1 and s2 stay on it, and s0 moves on; on the right
+    marker s0 swaps with the rejecting s3.  So the whole mass rejects at step
+    3 * (n + 1) + 1 on a word of n letters, wherever the blocks start and end.
+    """
+    cycle = np.eye(4)[[2, 0, 1, 3]]
+    states = ("s0", "s1", "s2", "s3")
+    return TwoWayQfaSpec(
+        states=states,
+        input_alphabet=("a", "b"),
+        initial_state="s0",
+        accept_states=frozenset(),
+        reject_states=frozenset({"s3"}),
+        symbol_unitaries={"#": cycle, "a": cycle, "b": cycle, "$": np.eye(4)[[3, 1, 2, 0]]},
+        head_fn={"s0": 1, "s1": 0, "s2": 0, "s3": 0},
+    )
+
+
+@pytest.mark.parametrize(
+    "word",
+    ["a", "ab", "aab", "abba", "aaaab", "baaaab", "aaaabbbbaaaa", "a" * 9 + "b" + "a" * 2],
+)
+def test_jumps_end_on_block_edges(word):
+    """Blocks of 1, 2 and p + 1 cells, each jump ending on the first cell past its block.
+
+    A block of one cell is never stamped: no cycle runs two periods in it.
+    """
+    spec = _pacing()
+    (left, least, row), = spec._anchors[1]
+    assert left and least == 2 and isinstance(row[0], CycleAnchor)
+    assert row[0] == (1, 3, 4, 1, 0)  # s0 steps to s1 on its cell, one key on
+    steps = 3 * (len(word) + 1) + 1
+    whole, reads = _table_reads(spec, word, trace=True)
+    assert (whole.steps, whole.halted, whole.p_reject) == (steps, True, 1.0)
+    assert whole == _unjumped(spec, word, trace=True)
+    assert whole == reference_run(spec, word, trace=True)
+    # three reads on the left marker and on each one-cell block, one on the
+    # anchor of each longer block, two on the right marker: the walk's and
+    # the full step's
+    blocks = [len(block) for block in re.findall(r"a+|b+", word)]
+    assert reads == 3 + sum(3 if length == 1 else 1 for length in blocks) + 2
+    for budget in range(1, steps + 1):
+        cut = run(spec, word, max_steps=budget, trace=True)
+        assert cut == _unjumped(spec, word, max_steps=budget, trace=True)
+        assert cut.trace == whole.trace[:budget]
+
+
+@pytest.mark.parametrize("name, word", _LONG_BLOCKS[1:])
+def test_a_halt_threshold_of_one_half_on_a_long_block(name, word, request):
+    """A run that stops at residual 0.5 stops where the whole run first drops below it."""
+    spec = request.getfixturevalue(name)
+    whole = run(spec, word, trace=True)
+    at = next(b for b, row in enumerate(whole.trace, 1) if row[2] < 0.5)
+    result = run(spec, word, halt_threshold=0.5, trace=True)
+    assert result.halted and result.steps == at < whole.steps
+    assert result.trace == whole.trace[:at]
+    assert result == _unjumped(spec, word, halt_threshold=0.5, trace=True)
+
+
+@pytest.mark.parametrize("name, word", _LONG_BLOCKS)
+def test_stepping_a_long_block_equals_its_run(name, word, request):
+    """``step`` and ``measure``, one step at a time, give the rows of the run that jumps."""
+    spec = request.getfixturevalue(name)
+    result = run(spec, word, trace=True)
+    vector = initial_vector(spec, word)
+    rows, p_accept, p_reject = [], 0.0, 0.0
+    while len(rows) < result.steps:
+        gain_accept, gain_reject, vector = measure(spec, step(spec, word, vector))
+        p_accept += gain_accept
+        p_reject += gain_reject
+        rows.append((p_accept, p_reject, vector.norm_squared()))
+    assert rows[-1][2] < core.DEFAULT_HALT_THRESHOLD <= rows[-2][2]
+    assert _close(rows, result.trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 12)), min_size=1, max_size=5),
+    st.integers(1, 300),
+)
+# cycles that read a cell behind some of their states, after and before them
+@example(9, 97, [("b", 2)], 120)
+@example(9, 34, [("a", 7)], 104)
+def test_random_relabel_machines_jump_as_they_walk(n, seed, blocks, max_steps):
+    """On random permutations of weight 1, whose cycles move either way and may step back.
+
+    A cycle that reads a cell behind its start is anchored only on the
+    states from which it never does.
+    """
+    rng = np.random.default_rng(seed)
+    states = tuple(f"s{i}" for i in range(n))
+    spec = TwoWayQfaSpec(
+        states=states,
+        input_alphabet=("a", "b"),
+        initial_state="s0",
+        accept_states=frozenset(),
+        reject_states=frozenset({states[-1]}),
+        symbol_unitaries={s: np.eye(n)[rng.permutation(n)] for s in ("#", "a", "b", "$")},
+        head_fn=dict(zip(states, rng.choice((-1, 0, 1), n).tolist())),
+    )
+    word = "".join(symbol * count for symbol, count in blocks)
+    result = run(spec, word, max_steps=max_steps, trace=True)
+    assert result == _unjumped(spec, word, max_steps=max_steps, trace=True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,16 @@ import pytest
 
 from twoqfa.core import initial_vector, measure, run, step
 from twoqfa.machine import validate
-from twoqfa.machines import build, build_m1, build_m2, build_m3, qft_matrix
+from twoqfa import machines
+from twoqfa.machines import (
+    MAX_N_PATHS,
+    MAX_QFT_N,
+    build,
+    build_m1,
+    build_m2,
+    build_m3,
+    qft_matrix,
+)
 
 # empirically measured worst case is 1.9 (short words) and about 1.4 on the
 # linear families; 3 is the frozen regression ceiling
@@ -122,6 +131,23 @@ def test_builders_reject_single_path_splits():
         build_m2(1)
     with pytest.raises(ValueError):
         build_m3(1)
+
+
+def test_builders_reject_one_path_past_their_caps(monkeypatch):
+    """Past the caps the size check fails before a state or a matrix entry is made."""
+
+    def unbuilt(*args):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(machines, "_paced_paths", unbuilt)
+    monkeypatch.setattr(machines.np, "outer", unbuilt)
+    for builder in (build_m2, build_m3):
+        with pytest.raises(ValueError, match=f"at most {MAX_N_PATHS}$"):
+            builder(MAX_N_PATHS + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_N_PATHS}$"):
+            build(builder.__name__[-2:], MAX_N_PATHS + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_QFT_N}$"):
+        qft_matrix(MAX_QFT_N + 1)
 
 
 def test_build_dispatcher_enforces_path_arguments():
