@@ -239,12 +239,6 @@ def _stamp_anchors(spec: TwoWayQfaSpec, symbols: list[int], table: list) -> dict
     return blocks
 
 
-def _word_tables(spec: TwoWayQfaSpec, word: str) -> list:
-    """The index tables of the machine's engine for the tape of `word`."""
-    symbols = _tape_symbols(spec, word)
-    return (_flat_table if spec._sparse else _Layout)(spec, symbols)
-
-
 #: (spec, word, tables) of the last ``step`` call.  Stepwise loops call
 #: ``step`` on one machine and word many times; the tables are fixed by the
 #: two and never written, so they are built once.  A spec is matched by
@@ -253,10 +247,11 @@ _last_step_tables: tuple = (None, None, None)
 
 
 def _step_tables(spec: TwoWayQfaSpec, word: str) -> list:
+    """The index tables of the machine's engine for the tape of `word`, without anchors."""
     global _last_step_tables
     last_spec, last_word, tables = _last_step_tables
     if last_spec is not spec or last_word != word:
-        tables = _word_tables(spec, word)
+        tables = (_flat_table if spec._sparse else _Layout)(spec, _tape_symbols(spec, word))
         _last_step_tables = (spec, word, tables)
     return tables
 

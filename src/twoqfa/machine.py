@@ -291,25 +291,25 @@ def _cycle_anchors(row: list, moves: list[int]) -> list[tuple[bool, int, list]]:
             continue
         # the cell each state of the cycle reads, from start's cell, along D
         cells = list(accumulate((moves[target[state]] for state in cycle), initial=0))
-        shift = cells.pop()
-        if not shift:
+        drift = cells.pop()
+        if not drift:
             continue
-        sign, stride = (1, shift) if shift > 0 else (-1, -shift)
-        cells = [sign * cell for cell in cells]
+        right, stride = drift > 0, abs(drift)
+        cells = [cell if right else -cell for cell in cells]
         # one period from state k reads cells[k:] and then cells[:k] + stride
         lowest = list(accumulate(reversed(cells), min))[::-1]
         highest = list(accumulate(reversed(cells), max))[::-1]
         before = list(accumulate(cells, min, initial=math.inf))
         furthest = list(accumulate(cells, max, initial=-math.inf))
-        least, anchored = groups.get(sign > 0, (math.inf, list(row)))
+        least, anchored = groups[right] if right in groups else (math.inf, list(row))
         for k, state in enumerate(cycle):
             if lowest[k] < cells[k] or before[k] + stride < cells[k]:
                 continue
             reach = max(highest[k], furthest[k] + stride) - cells[k]
-            anchored[state] = CycleAnchor((row[state], len(cycle), shift * n, stride, reach))
+            anchored[state] = CycleAnchor((row[state], len(cycle), drift * n, stride, reach))
             least = min(least, reach + stride + 1)
         if least < math.inf:
-            groups[sign > 0] = (least, anchored)
+            groups[right] = (least, anchored)
     return [(left, least, anchored) for left, (least, anchored) in groups.items()]
 
 
