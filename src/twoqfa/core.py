@@ -25,16 +25,20 @@ which such a cycle enters a long block, and a walk that meets one skips
 every whole period that stays inside the block and the budget at once: a
 walk costs a few reads per block it crosses, not one per step.  A denser
 machine, such as a Haar-random one, soon makes most of its tape live, so
-``_Evolution`` multiplies the whole array, one product per symbol.  It keeps
-the array in the order a step reads it (``_Layout``): the tape columns
-sorted by symbol, so each symbol's cells are one slice, and the running
-states' rows before the accepting and the rejecting ones.  A step multiplies
-the running columns of each symbol's matrix, permuted to that order, by the
-running rows of its slice, writes the products to precomputed target cells
-and reads the three masses off contiguous row blocks.  Both engines build
-their index tables once per word; ``step`` keeps those of the last machine
-and word it was called with, and converts a vector to and from the dense
-order around the product, in which it reads every row.
+``_Evolution`` multiplies whole slices of the array, one product per symbol.
+It keeps the array in the order a step reads it (``_Layout``): the tape
+columns sorted by symbol, so each symbol's cells are one slice, and within
+a slice by circular distance from cell 0; the running states' rows come
+before the accepting and the rejecting ones.  A run starts on cell 0 and a
+head moves at most one cell a step, so before step t every cell more than
+t - 1 cells away is exactly zero, and the cells within reach form a prefix
+of each slice: a step multiplies the running columns of each symbol's
+matrix, permuted to that order, by the running rows of that prefix alone,
+moves the products to their target cells with one precomputed gather and
+reads the three masses off contiguous row blocks.  Both engines build their
+index tables once per word; ``step`` keeps those of the last machine and
+word it was called with, and converts a vector to and from the dense order
+around the product, in which it reads every row and every column.
 """
 
 from __future__ import annotations
@@ -148,9 +152,15 @@ class _Layout:
     Row i of the array holds state rows[i]: the running states first, then
     the accepting, then the rejecting ones, each in state order.  Column j
     holds tape position columns[j]: the positions sorted by symbol, so each
-    symbol's cells form one slice.  groups holds, per tape symbol on the
-    tape, its matrix made dense and permuted to this row order, its slice
-    of columns and the flat target cell of every entry of its product.
+    symbol's cells form one slice, and within a slice by circular distance
+    from cell 0, where every run starts.  groups holds, per tape symbol on
+    the tape, its matrix made dense and permuted to this row order, the
+    first column of its slice and its cone: for each reach r from 0 to
+    widest = L // 2, how many leading columns of the slice lie within r
+    cells of cell 0.  sources holds the flat cell of a step's products that
+    each cell of its result takes: the head moves by the move of the target
+    row, so cell (i, j) takes the product of row i at the tape position
+    columns[j] - move[rows[i]].
     """
 
     def __init__(self, spec: TwoWayQfaSpec, symbols: list[int]):
@@ -158,21 +168,23 @@ class _Layout:
         length = symbols.size
         self.running, self.accepting, _ = np.bincount(spec._halt_role, minlength=3).tolist()
         rows = self.rows = np.argsort(spec._halt_role, kind="stable")
-        columns = self.columns = np.argsort(symbols, kind="stable")
+        position = np.arange(length)
+        distance = np.minimum(position, length - position)
+        columns = self.columns = np.lexsort((distance, symbols))
         sorted_column = np.empty(length, dtype=int)
-        sorted_column[columns] = np.arange(length)
-        # entry (i, j) of a product lands in row i at the sorted column of
-        # tape position columns[j] + move[rows[i]] on the circular tape
-        targets = sorted_column[(columns + spec._move_column[rows]) % length]
-        targets += np.arange(len(rows))[:, np.newaxis] * length
+        sorted_column[columns] = position
+        sources = self.sources = sorted_column[(columns - spec._move_column[rows]) % length]
+        sources += np.arange(len(rows))[:, np.newaxis] * length
+        self.widest = length // 2
+        reaches = np.arange(self.widest + 1)
         self.groups = []
         lo = 0
         for symbol, count in enumerate(np.bincount(symbols).tolist()):
             if count:
-                hi = lo + count
                 matrix = spec._columns[spec.tape_alphabet[symbol]].dense()[rows][:, rows]
-                self.groups.append((matrix, lo, hi, targets[:, lo:hi].copy()))
-                lo = hi
+                cone = np.searchsorted(distance[columns[lo:lo + count]], reaches, side="right")
+                self.groups.append((matrix, lo, cone.tolist()))
+                lo += count
 
     def sort(self, data: np.ndarray) -> np.ndarray:
         """A tape-ordered amplitude array in this order."""
@@ -260,31 +272,39 @@ class _Evolution:
     """One-step evolution of a whole amplitude array, one matmul per tape symbol.
 
     data is the amplitude array in the order of layout, a ``_Layout``.  Each
-    symbol's matrix multiplies the slice of columns that holds the symbol,
-    and the product is written to its target cells.  inner is the number of
-    leading rows a step reads: every row on the first step, which may start
-    on a halting state, and after it only the running rows, because a
-    measured step leaves nothing on the halting ones.  So the halting rows
-    of data are never zeroed; they hold the last step's halting products.
+    symbol's matrix multiplies the columns of its slice within reach cells
+    of cell 0, into the same columns of products, and one gather moves the
+    products to their target cells.  A run starts on cell 0 and a head moves
+    at most one cell a step, so after t steps every cell further than t
+    cells from cell 0 is exactly zero: a run starts at reach 0 and widens it
+    by one a step.  The columns of products outside the reach are never
+    written, so they stay zero.  inner is the number of leading rows a step
+    reads: every row on the first step, which may start on a halting state,
+    and after it only the running rows, because a measured step leaves
+    nothing on the halting ones.  So the halting rows of data are never
+    zeroed; they hold the last step's halting products.
     """
 
-    def __init__(self, layout: _Layout, data: np.ndarray):
+    def __init__(self, layout: _Layout, data: np.ndarray, reach: int = 0):
         self.layout = layout
         self.data = data
         self.inner = len(layout.rows)
+        self.reach = reach
+        self.products = np.zeros(data.shape, dtype=np.complex128)
 
     def apply(self) -> np.ndarray:
         """One step's products of the first inner rows of data, unmeasured, in a new array."""
         data = self.data[: self.inner]
-        out = np.empty(self.data.shape, dtype=np.complex128)
-        cells = out.reshape(-1)
-        for matrix, lo, hi, targets in self.layout.groups:
-            cells[targets] = matrix[:, : self.inner] @ data[:, lo:hi]
-        return out
+        products = self.products
+        for matrix, lo, cone in self.layout.groups:
+            hi = lo + cone[self.reach]
+            np.matmul(matrix[:, : self.inner], data[:, lo:hi], out=products[:, lo:hi])
+        return products.reshape(-1)[self.layout.sources]
 
     def step(self, limit: int) -> tuple[float, float, float, int]:
         """One step of data and its measurement; returns the residual, accept and reject mass and 1."""
         data = self.data = self.apply()
+        self.reach = min(self.reach + 1, self.layout.widest)
         running = self.inner = self.layout.running
         halting = running + self.layout.accepting
         return (
@@ -414,8 +434,9 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
         raise ValueError("vector shape does not match the machine and word")
     tables = _step_tables(spec, word)
     if not spec._sparse:
-        # every row is multiplied: a caller's vector may carry halting amplitude
-        products = _Evolution(tables, tables.sort(vector.data)).apply()
+        # every row and column is multiplied: a caller's vector may carry
+        # halting amplitude, and amplitude anywhere on the tape
+        products = _Evolution(tables, tables.sort(vector.data), tables.widest).apply()
         return AmplitudeVector(spec, length, tables.unsort(products))
     rows, cols, values = _nonzeros(vector.data)
     keys = [col * n + row for row, col in zip(rows, cols)]

@@ -528,8 +528,11 @@ def complete_partial_table(table: PartialTable) -> TwoWayQfaSpec:
             size = len(block_rows) - len(block_columns)
             if size > 0:
                 u, _, _ = np.linalg.svd(block, full_matrices=True)
+                # int64 keys: block_rows are int32, and source * n passes 2**31
+                # from about 46,000 states on
+                keys = block_rows.astype(np.int64)
                 for vector, source in zip(u[:, -size:].T, completed):
-                    entries.update(zip((source * n + block_rows).tolist(), vector.tolist()))
+                    entries.update(zip((source * n + keys).tolist(), vector.tolist()))
         matrix = Columns.from_entries(n, list(entries), list(entries.values()))
         padded.extend((symbol, states[s]) for s in unspecified)
         deviation = _unitarity_deviation(matrix)

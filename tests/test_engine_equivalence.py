@@ -648,14 +648,20 @@ def test_validate_by_blocks_agrees_with_the_masked_matrix_validator(n, kind, see
 def _overflowing(name: str) -> tuple[TwoWayQfaSpec, str]:
     """A non-unitary machine whose amplitudes overflow, and a word.
 
-    "scaled" is m1 with its matrix for "a" scaled by 1e200; "doubling" sends
-    state 0 to states 1 and 2 with weight 1 each, and both relabel back to
-    state 0, so its amplitude doubles every second step.
+    "scaled" is m1 with its matrix for "a" scaled by 1e200; "dense" is a
+    12-state Haar-random machine scaled the same way, on a word whose first
+    "a" lies 31 cells from cell 0; "doubling" sends state 0 to states 1 and
+    2 with weight 1 each, and both relabel back to state 0, so its amplitude
+    doubles every second step.
     """
-    if name == "scaled":
-        base = build_m1()
+    if name in ("scaled", "dense"):
+        if name == "scaled":
+            base, word = build_m1(), "aa"
+        else:
+            base = _machine(("a", "b"), "haar", 3, [i % 3 - 1 for i in range(12)], "n" * 10 + "ar")
+            word = "b" * 30 + "a" * 10 + "b" * 60
         unitaries = {s: m * (1e200 if s == "a" else 1) for s, m in base.symbol_unitaries.items()}
-        return replace(base, symbol_unitaries=unitaries), "aa"
+        return replace(base, symbol_unitaries=unitaries), word
     matrix = np.zeros((3, 3), dtype=complex)
     matrix[[1, 2], 0] = 1
     matrix[0, [1, 2]] = 1
@@ -689,3 +695,54 @@ def test_an_overflowing_machine_stops_where_the_reference_does(name):
     assert not math.isfinite(got.p_residual) and not math.isfinite(want.p_residual)
     assert got.trace[:-1] == want.trace[:-1]
     assert got.trace[-1][:2] == want.trace[-1][:2]
+
+
+def test_an_overflowing_dense_machine_stops_where_the_reference_does():
+    """The dense engine ends the run at the reference's step, before its cone covers the tape.
+
+    No amplitude reaches an "a" cell before step 32, when the cells a step
+    multiplies span 63 of the 102.  The engines sum in other orders, so the
+    rows before the last agree to 1e-12, not bit for bit.
+    """
+    spec, word = _overflowing("dense")
+    assert not spec._sparse
+    got = run(spec, word, max_steps=5000, trace=True)
+    want = reference_run(spec, word, max_steps=5000, trace=True)
+    assert got.halted is want.halted is False
+    assert got.steps == want.steps == 32
+    assert not math.isfinite(got.p_residual) and not math.isfinite(want.p_residual)
+    assert _close(got.trace[:-1], want.trace[:-1])
+
+
+def _multiplied_columns(call, groups: int) -> tuple[object, list[int]]:
+    """What `call` returns and the tape columns its dense steps multiply, per step.
+
+    A step takes one product per tape symbol, so each `groups` products in a
+    row make one step.
+    """
+    widths = []
+    matmul = np.matmul
+
+    def counting(matrix, data, **options):
+        widths.append(data.shape[1])
+        return matmul(matrix, data, **options)
+
+    with mock.patch.object(core.np, "matmul", counting):
+        result = call()
+    return result, [sum(widths[i:i + groups]) for i in range(0, len(widths), groups)]
+
+
+def test_a_dense_run_multiplies_only_the_cells_it_can_reach():
+    """Step t multiplies the 2t - 1 cells within t - 1 of cell 0, until they cover the tape.
+
+    On the 88 cells of the word below that is 1 cell on the first step, 87
+    on step 44 and all 88 from step 45 on; a step that multiplied the whole
+    tape would read 88 every time.  ``step`` multiplies every cell, since a
+    caller's vector may hold amplitude anywhere.
+    """
+    spec, word, _ = _LONG_TAPE_HAAR
+    result, columns = _multiplied_columns(lambda: run(spec, word), 4)
+    assert result.halted and len(columns) == result.steps > 45
+    assert columns == [min(2 * t - 1, 88) for t in range(1, result.steps + 1)]
+    _, columns = _multiplied_columns(lambda: step(spec, word, initial_vector(spec, word)), 4)
+    assert columns == [88]

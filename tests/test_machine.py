@@ -183,6 +183,24 @@ def test_superposition_column_completes_by_orthonormal_extension():
     assert matrix[1, 0] == pytest.approx(value)
 
 
+def test_a_complement_column_keyed_past_two_to_the_31_completes():
+    """The orthonormal complement lands on the last of 50,000 states.
+
+    Its entries are keyed source * n + row = 49,999 * 50,000 + row, beyond
+    the int32 range of the block's rows.  The table gives one column, so
+    the completion is a permutation elsewhere and nothing dense is built.
+    """
+    n = 50_000
+    value = 1 / math.sqrt(2)
+    rows = [("u0", "x", "u0", value), ("u0", "x", "u1", value)]
+    spec = complete_partial_table(_tiny_table(rows, states=tuple(f"u{i}" for i in range(n))))
+    matrix = spec._columns["x"]
+    last = slice(matrix.indptr[n - 1], matrix.indptr[n])
+    assert matrix.indices[last].tolist() == [0, 1]
+    assert abs(np.vdot(matrix.values[last], [value, value])) < 1e-15
+    assert np.linalg.norm(matrix.values[last]) == pytest.approx(1, abs=1e-15)
+
+
 def test_spec_constructor_rejects_malformed_machines(m1):
     good = dict(
         states=("u0", "u1"),
