@@ -25,20 +25,20 @@ which such a cycle enters a long block, and a walk that meets one skips
 every whole period that stays inside the block and the budget at once: a
 walk costs a few reads per block it crosses, not one per step.  A denser
 machine, such as a Haar-random one, soon makes most of its tape live, so
-``_Evolution`` multiplies whole slices of the array, one product per symbol.
-It keeps the array in the order a step reads it (``_Layout``): the tape
-columns sorted by symbol, so each symbol's cells are one slice, and within
-a slice by circular distance from cell 0; the running states' rows come
-before the accepting and the rejecting ones.  A run starts on cell 0 and a
-head moves at most one cell a step, so before step t every cell more than
-t - 1 cells away is exactly zero, and the cells within reach form a prefix
-of each slice: a step multiplies the running columns of each symbol's
-matrix, permuted to that order, by the running rows of that prefix alone,
-moves the products to their target cells with one precomputed gather and
-reads the three masses off contiguous row blocks.  Both engines build their
-index tables once per word; ``step`` keeps those of the last machine and
-word it was called with, and converts a vector to and from the dense order
-around the product, in which it reads every row and every column.
+``_Evolution`` multiplies the array, one product per symbol.  It keeps the
+array in the order a step reads it (``_Layout``): the tape columns sorted by
+symbol, so each symbol's cells are one slice, and within a slice by circular
+distance from cell 0; the running states' rows come before the accepting
+and the rejecting ones.  A run starts on cell 0 and a head moves at most one
+cell a step, so before step t every cell more than t - 1 cells away is
+exactly zero, and the cells within reach form a prefix of each slice: a step
+multiplies the running columns of each symbol's matrix, permuted to that
+order, by the running rows of that prefix alone, moves the products to
+their target cells with one precomputed gather and reads the three masses
+off contiguous row blocks.  Both engines build their index tables once per
+word; ``step`` keeps those of the last machine and word it was called with,
+and converts a vector to and from the dense order around the product, in
+which it reads every row and every column.
 """
 
 from __future__ import annotations
@@ -277,12 +277,15 @@ class _Evolution:
     products to their target cells.  A run starts on cell 0 and a head moves
     at most one cell a step, so after t steps every cell further than t
     cells from cell 0 is exactly zero: a run starts at reach 0 and widens it
-    by one a step.  The columns of products outside the reach are never
-    written, so they stay zero.  inner is the number of leading rows a step
-    reads: every row on the first step, which may start on a halting state,
-    and after it only the running rows, because a measured step leaves
-    nothing on the halting ones.  So the halting rows of data are never
-    zeroed; they hold the last step's halting products.
+    by one a step, and ``step``, whose vector may hold amplitude anywhere,
+    starts at the layout's widest reach, the whole tape.  The columns of
+    products outside the reach are never written, so they stay zero, and
+    the gather moves only zeros into the cells beyond the next step's
+    reach.  inner is the number of leading rows a step reads: every row on
+    the first step, which may start on a halting state, and after it only
+    the running rows, because a measured step leaves nothing on the halting
+    ones.  So the halting rows of data are never zeroed; they hold the last
+    step's halting products.
     """
 
     def __init__(self, layout: _Layout, data: np.ndarray, reach: int = 0):

@@ -654,28 +654,28 @@ def _overflowing(name: str) -> tuple[TwoWayQfaSpec, str]:
     2 with weight 1 each, and both relabel back to state 0, so its amplitude
     doubles every second step.
     """
-    if name in ("scaled", "dense"):
-        if name == "scaled":
-            base, word = build_m1(), "aa"
-        else:
-            base = _machine(("a", "b"), "haar", 3, [i % 3 - 1 for i in range(12)], "n" * 10 + "ar")
-            word = "b" * 30 + "a" * 10 + "b" * 60
-        unitaries = {s: m * (1e200 if s == "a" else 1) for s, m in base.symbol_unitaries.items()}
-        return replace(base, symbol_unitaries=unitaries), word
-    matrix = np.zeros((3, 3), dtype=complex)
-    matrix[[1, 2], 0] = 1
-    matrix[0, [1, 2]] = 1
-    states = ("s0", "s1", "s2")
-    spec = TwoWayQfaSpec(
-        states=states,
-        input_alphabet=("a",),
-        initial_state="s0",
-        accept_states=frozenset(),
-        reject_states=frozenset(),
-        symbol_unitaries={s: matrix for s in ("#", "a", "$")},
-        head_fn=dict.fromkeys(states, 0),
-    )
-    return spec, "a"
+    if name == "doubling":
+        matrix = np.zeros((3, 3), dtype=complex)
+        matrix[[1, 2], 0] = 1
+        matrix[0, [1, 2]] = 1
+        states = ("s0", "s1", "s2")
+        spec = TwoWayQfaSpec(
+            states=states,
+            input_alphabet=("a",),
+            initial_state="s0",
+            accept_states=frozenset(),
+            reject_states=frozenset(),
+            symbol_unitaries={s: matrix for s in ("#", "a", "$")},
+            head_fn=dict.fromkeys(states, 0),
+        )
+        return spec, "a"
+    if name == "scaled":
+        base, word = build_m1(), "aa"
+    else:
+        base = _machine(("a", "b"), "haar", 3, [i % 3 - 1 for i in range(12)], "n" * 10 + "ar")
+        word = "b" * 30 + "a" * 10 + "b" * 60
+    unitaries = {s: m * (1e200 if s == "a" else 1) for s, m in base.symbol_unitaries.items()}
+    return replace(base, symbol_unitaries=unitaries), word
 
 
 @pytest.mark.parametrize("name", ["scaled", "doubling"])
