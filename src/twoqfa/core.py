@@ -12,13 +12,15 @@ the nonzeros of its matrices.  A machine whose matrices are more than half
 zeros, as the bundled machines are, has few configurations live at once and
 few transitions out of each, so ``_Frontier`` steps them one by one.  It
 keys a configuration by the int position * S + state and looks up how that
-key steps in a flat table of S entries per tape cell; most entries of the
-bundled machines are pure relabels, one transition of weight exactly 1 to a
-running state that no other source reaches, which move an amplitude without
+key steps in a table of one row per tape cell, the S entries of the cell's
+symbol, which every cell of that symbol shares; most entries of the bundled
+machines are pure relabels, one transition of weight exactly 1 to a running
+state that no other source reaches, which move an amplitude without
 multiplying it.  Configurations on chains of relabels never meet, so each
-walks its chain on its own clock, and a run jumps from event to event: only
-the keys that meet any other entry sum, measure and rebuild the live set, and
-the steps in between repeat the last residual mass.  Inside a block of one
+walks its chain on its own clock, and a run jumps from event to event: the
+live keys wait in buckets by the step at which they next meet any other
+entry, only the keys of the next such step sum and measure, and the steps in
+between repeat the last residual mass.  Inside a block of one
 input symbol most chains run into a cycle of relabels that moves the head a
 cell or more each period, so ``run`` stamps cycle anchors on the cell at
 which such a cycle enters a long block, and a walk that meets one skips
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import groupby
 
 import numpy as np
@@ -198,23 +201,23 @@ class _Layout:
 
 
 def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
-    """The frontier's step entry (see ``TwoWayQfaSpec._steps``) for every key of the tape.
+    """The frontier's step entries (see ``TwoWayQfaSpec._steps``) for every cell of the tape.
 
-    Key position * S + state indexes the list.  Each cell contributes its
-    symbol's prebuilt S entries; only the end markers can move a head off
-    the tape, so only their wrapping entries are rebuilt, with the deltas
-    that leave the tape shifted by the tape's L * S keys.
+    One row a cell: key position * S + state reads entry key % S of row
+    key // S.  An input cell holds its symbol's prebuilt row itself, shared
+    with every other cell of that symbol and never written.  Only the end
+    markers can move a head off the tape, so only their two rows are copied,
+    and their wrapping entries rebuilt with the deltas that leave the tape
+    shifted by the tape's L * S keys.
     """
     steps = spec._steps
-    table = []
-    for symbol in symbols:
-        table += steps[symbol]
-    n = len(spec.states)
-    shift = len(table)
+    table = [steps[symbol] for symbol in symbols]
+    shift = len(table) * len(spec.states)
     left, right = spec._wrapping
-    for offset, sign, wrapping in ((0, 1, left), (shift - n, -1, right)):
+    for cell, sign, wrapping in ((0, 1, left), (-1, -1, right)):
+        row = table[cell] = list(table[cell])
         for source, off in wrapping:
-            entry = table[offset + source]
+            entry = row[source]
             if entry.__class__ is int:
                 entry += sign * shift
             else:
@@ -222,7 +225,7 @@ def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
                     (delta + sign * shift * wraps, weight, role)
                     for (delta, weight, role), wraps in zip(entry, off)
                 )
-            table[offset + source] = entry
+            row[source] = entry
     return table
 
 
@@ -231,13 +234,12 @@ def _stamp_anchors(spec: TwoWayQfaSpec, symbols: list[int], table: list) -> dict
 
     A block is a run of one input symbol.  For each direction group of the
     symbol's ``TwoWayQfaSpec._anchors`` in which some cycle runs two whole
-    periods inside the block, the group's row replaces the S entries of the
-    cell at which configurations moving that way enter: the left end for
+    periods inside the block, the group's row replaces the symbol's row on
+    the cell at which configurations moving that way enter: the left end for
     cycles that move right, the right end for the others.  The returned dict
     maps each stamped cell to the length of its block.
     """
     anchors = spec._anchors
-    n = len(spec.states)
     blocks = {}
     lo = 0
     for symbol, cells in groupby(symbols):
@@ -245,7 +247,7 @@ def _stamp_anchors(spec: TwoWayQfaSpec, symbols: list[int], table: list) -> dict
         for left, least, row in anchors.get(symbol, ()):
             if hi - lo >= least:
                 cell = lo if left else hi - 1
-                table[cell * n:(cell + 1) * n] = row
+                table[cell] = row
                 blocks[cell] = hi - lo
         lo = hi
     return blocks
@@ -322,47 +324,55 @@ class _Frontier:
     """The live configurations of one run, each on its own clock.
 
     live maps each live configuration to its nonzero amplitude by the key
-    due * K + position * S + state, where K = L * S is the length of table,
-    from ``_flat_table``, the step entry of every key.  A relabel moves an
-    amplitude to key + entry as it is, and no other key reaches its target,
-    so configurations on relabel chains never meet: each walks its chain to
-    the step `due` at which it sits on any other entry.  The next full step
-    is the smallest due plus one; only the keys due then step (``advance``),
-    and the steps before it repeat the last residual with no halting mass.
+    due * K + position * S + state, where S is states, K = L * S the number
+    of keys on a tape of L cells, and table, from ``_flat_table``, holds the
+    step entry of every key, one row a cell.  A relabel moves an amplitude
+    to key + entry as it is, and no other key reaches its target, so
+    configurations on relabel chains never meet: each walks its chain to
+    the step `due` at which it sits on any other entry.  buckets lists the
+    keys of each due step in the order they joined live, and dues holds
+    those steps as a heap.  The next full step is the smallest due plus one;
+    only the keys due then step (``advance``), and the steps before it
+    repeat the last residual with no halting mass.  A full step appends the
+    keys it reaches to live and to their buckets, so live keeps every other
+    key where it was, and the residual sums live in an order that no budget
+    changes.  A frontier starts with its keys, all at step 0, due at step 0.
 
-    In the table of a run, the entry cell of a long block may hold
+    In the table of a run, the entry cell of a long block may hold a row of
     ``CycleAnchor`` entries (``_stamp_anchors``); blocks maps each such cell
-    to its block's length and states is S.  A walk that meets an anchor
-    skips the whole periods that read only cells of the block and end
-    within the budget, or, if there are none, takes the anchor's relabel;
-    it never stops on an anchor, so ``advance`` never reads one.
+    to its block's length.  A walk that meets an anchor skips the whole
+    periods that read only cells of the block and end within the budget, or,
+    if there are none, takes the anchor's relabel; it never stops on an
+    anchor, so ``advance`` never reads one.
     """
 
     def __init__(self, table: list, keys: list[int], amplitudes: list[complex],
-                 states: int = 1, blocks: dict[int, int] | None = None):
+                 states: int, blocks: dict[int, int] | None = None):
         self.table = table
-        self.live = dict(zip(keys, amplitudes))
-        self.now = 0
         self.states = states
+        self.size = len(table) * states
+        self.live = dict(zip(keys, amplitudes))
+        self.buckets = {0: keys}
+        self.dues = [0]
+        self.now = 0
         self.blocks = blocks
 
     def advance(self, due: int = 0) -> tuple[dict[int, complex], dict[int, complex], dict[int, complex]]:
         """The products of the keys due at step `due`, summed per target key, not yet measured.
 
-        Returns the running, accepting and rejecting sums, keyed at step
-        due + 1, each in the order in which its keys were first reached; a
-        key due later passes through the running sums in its place, so the
-        sums keep the order of one step at a time.
+        Takes the keys out of live and their bucket, and returns the running,
+        accepting and rejecting sums, keyed at step due + 1, each in the
+        order in which its keys were first reached.
         """
-        table = self.table
-        size = len(table)
-        later = (due + 1) * size
-        sums = live, _, _ = {}, {}, {}
-        for key, amplitude in self.live.items():
-            if key >= later:
-                live[key] = amplitude
-            elif (entry := table[key % size]).__class__ is int:
-                live[key + size + entry] = amplitude
+        table, n, size = self.table, self.states, self.size
+        live = self.live
+        base = due * size
+        sums = running, _, _ = {}, {}, {}
+        for key in self.buckets.pop(due):
+            amplitude = live.pop(key)
+            cell, state = divmod(key - base, n)
+            if (entry := table[cell][state]).__class__ is int:
+                running[key + size + entry] = amplitude
             else:
                 for delta, weight, role in entry:
                     target = sums[role]
@@ -375,45 +385,49 @@ class _Frontier:
 
         With no key due sooner, it coasts all `limit` steps on the last residual.
         """
-        table = self.table
-        size = len(table)
+        table, n, size = self.table, self.states, self.size
+        live, buckets, dues = self.live, self.buckets, self.dues
         end = self.now + limit
-        due = min(self.live) // size
+        due = dues[0]
         if due >= end:
             self.now = end
-            return _mass(self.live.values()), 0.0, 0.0, limit
-        live, accept, reject = self.advance(due)
-        if 0j in live.values():  # cancelled exactly: a zero entry, as in the array
-            live = {key: amplitude for key, amplitude in live.items() if amplitude}
+            return _mass(live.values()), 0.0, 0.0, limit
+        heappop(dues)
+        running, accept, reject = self.advance(due)
         taken, self.now = due + 1 - self.now, due + 1
-        fresh = (due + 2) * size  # keys at step due + 1 walk on to their due, or to end
-        blocks, n = self.blocks, self.states
-        self.live = walked = {}
-        for key, amplitude in live.items():
-            if key < fresh:
-                t, key = divmod(key, size)
-                while True:
-                    for t in range(t, end):
-                        entry = table[key]
-                        if entry.__class__ is not int:
-                            break
-                        key += entry
-                    else:
-                        t = end
+        blocks = self.blocks
+        for key, amplitude in running.items():
+            if not amplitude:  # cancelled exactly: a zero entry, as in the array
+                continue
+            # each key reached walks on to its due, or to end
+            t, key = divmod(key, size)
+            while True:
+                for t in range(t, end):
+                    entry = table[key // n][key % n]
+                    if entry.__class__ is not int:
                         break
-                    if entry.__class__ is not CycleAnchor:
-                        break
-                    # whole periods inside the block and the budget, else one relabel
-                    delta, period, shift, stride, reach = entry
-                    m = min((blocks[key // n] - 1 - reach) // stride + 1, (end - t) // period)
-                    if m > 0:
-                        key += m * shift
-                        t += m * period
-                    else:
-                        key += delta
-                        t += 1
-                key += t * size
-            walked[key] = amplitude
+                    key += entry
+                else:
+                    t = end
+                    break
+                if entry.__class__ is not CycleAnchor:
+                    break
+                # whole periods inside the block and the budget, else one relabel
+                delta, period, shift, stride, reach = entry
+                m = min((blocks[key // n] - 1 - reach) // stride + 1, (end - t) // period)
+                if m > 0:
+                    key += m * shift
+                    t += m * period
+                else:
+                    key += delta
+                    t += 1
+            key += t * size
+            live[key] = amplitude
+            if (bucket := buckets.get(t)) is None:
+                buckets[t] = [key]
+                heappush(dues, t)
+            else:
+                bucket.append(key)
         return _mass(live.values()), _mass(accept.values()), _mass(reject.values()), taken
 
 
@@ -444,7 +458,7 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
     rows, cols, values = _nonzeros(vector.data)
     keys = [col * n + row for row, col in zip(rows, cols)]
     out = AmplitudeVector(spec, length)
-    for sums in _Frontier(tables, keys, values).advance():
+    for sums in _Frontier(tables, keys, values, n).advance():
         for key, amplitude in sums.items():
             out.data[key % n, key // n - length] = amplitude
     return out

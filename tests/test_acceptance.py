@@ -155,13 +155,12 @@ def _assert_closed_form(spec, word, p_accept):
 
 @pytest.mark.parametrize("n_paths", [2, 5, 10, 20, 50, 100])
 def test_bracket_and_triple_block_machines_match_their_closed_forms(n_paths, request):
-    """At N >= 50 (2,000 to 15,500 states) the word set is smaller by one rule.
+    """Every N runs the long bracket words (up to 4,096 letters) and triple words (up to 192).
 
-    A run's table holds S step entries a tape cell and rebuilds the end
-    markers' wrapping entries, about N^2 of them, for every word, and m3's
-    second stage keeps N^2 branch pairs live.  So from N = 50 on the longest
-    bracket words (4,096 letters) and triple words (192 letters) are left
-    out, and the triple words stop at length 5.
+    A run's table holds one row reference a tape cell, so a long word costs
+    no S entries a cell at 2,000 to 15,500 states.  m3's second stage keeps
+    N^2 branch pairs live, so from N = 50 on the short triple words stop at
+    length 5.
     """
     start = time.monotonic()
     rng = random.Random(20261018 + n_paths)
@@ -169,12 +168,12 @@ def test_bracket_and_triple_block_machines_match_their_closed_forms(n_paths, req
     m2, m3 = (request.getfixturevalue(f"{name}_{n_paths}") for name in ("m2", "m3"))
     brackets = list(words_up_to(("(", ")"), 10))
     brackets.append("(" * 6 + ")" * 6)  # the deepest word of the bound test
-    for n in (64, 512) if large else (64, 512, 4096):
+    for n in (64, 512, 4096):
         brackets += _long_bracket_words(rng, n)
     for word in brackets:
         _assert_closed_form(m2, word, m2_accept(word, n_paths))
     triples = list(words_up_to(("a", "b", "c"), 5 if large else 9 if n_paths == 5 else 7))
-    for n in (48, 96) if large else (48, 96, 192):
+    for n in (48, 96, 192):
         triples += _long_triple_words(rng, n)
     for word in triples:
         _assert_closed_form(m3, word, m3_accept(word, n_paths))

@@ -445,6 +445,63 @@ def test_a_long_block_is_crossed_in_jumps(m2_10, m3_20):
         assert result == _unjumped(spec, word)
 
 
+def test_a_run_table_holds_one_shared_row_per_cell(m3_5):
+    """The table of a run is one row a tape cell, not S entries copied for each cell.
+
+    Every input cell without an anchor holds its symbol's row of
+    ``spec._steps`` itself.  A stamped cell holds its anchor group's row, and
+    only the two marker rows are copies, in which the entries that move a
+    head off the tape are rebuilt.
+    """
+    spec = m3_5
+    word = "a" * 21 + "b" * 20 + "c" * 22 + "bca"
+    with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
+        run(spec, word)
+    table, _, _, _, blocks = frontier.call_args.args
+    symbols = core._tape_symbols(spec, word)
+    assert len(table) == len(word) + 2
+    assert 0 < len(blocks) < len(word) // 2
+    for cell in range(1, len(word) + 1):
+        rows = [row for _, _, row in spec._anchors[symbols[cell]]] if cell in blocks else [
+            spec._steps[symbols[cell]]]
+        assert any(table[cell] is row for row in rows), cell
+    for cell, wrapping in ((0, spec._wrapping[0]), (-1, spec._wrapping[1])):
+        steps = spec._steps[symbols[cell]]
+        assert table[cell] is not steps and len(table[cell]) == len(steps)
+        rebuilt = [source for source, entry in enumerate(table[cell]) if entry != steps[source]]
+        assert rebuilt == [source for source, _ in wrapping] != []
+
+
+def test_each_full_step_advances_only_the_keys_due_at_it(m3_5):
+    """A full step takes the keys due at it out of live and leaves every other key in place.
+
+    m3 N=5 on a²¹b²⁰c²² keeps up to 25 keys live but 1 to 3 due at each of
+    its 25 full steps, so a full step that passed every live key through
+    would visit 307 keys where this one visits 37.
+    """
+    spec, word = m3_5, "a" * 21 + "b" * 20 + "c" * 22
+    advance = core._Frontier.advance
+    sizes = []
+
+    def spy(self, due=0):
+        before = list(self.live.items())
+        due_keys = [key for key, _ in before if key // self.size == due]
+        reads = _CountingTable.reads
+        sums = advance(self, due)
+        # one table read per due key, and only they left live
+        assert _CountingTable.reads - reads == len(due_keys)
+        assert list(self.live.items()) == [item for item in before if item[0] not in due_keys]
+        assert all(key // self.size == due + 1 for products in sums for key in products)
+        sizes.append((len(before), len(due_keys)))
+        return sums
+
+    with mock.patch.object(core._Frontier, "advance", spy):
+        result, _ = _table_reads(spec, word)
+    assert result.halted and len(sizes) == 25
+    assert max(live for live, _ in sizes) == 25 and max(due for _, due in sizes) == 3
+    assert (sum(live for live, _ in sizes), sum(due for _, due in sizes)) == (307, 37)
+
+
 @pytest.mark.parametrize("name, word", _LONG_BLOCKS)
 def test_every_budget_on_a_long_block_ends_the_run_at_its_step(name, word, request):
     """A budget that ends inside a jump stops the run there, with the rows of the whole run."""
