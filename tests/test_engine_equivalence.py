@@ -402,7 +402,7 @@ def test_relabel_cycles_run_to_the_budget(moves, matrix, word, max_steps):
 
 
 class _CountingTable(list):
-    """A frontier table that counts how often a run reads one of its entries."""
+    """A frontier table that counts how often a run reads one of its rows: once per entry read."""
 
     reads = 0
 
@@ -462,8 +462,10 @@ def test_a_run_table_holds_one_shared_row_per_cell(m3_5):
     assert len(table) == len(word) + 2
     assert 0 < len(blocks) < len(word) // 2
     for cell in range(1, len(word) + 1):
-        rows = [row for _, _, row in spec._anchors[symbols[cell]]] if cell in blocks else [
-            spec._steps[symbols[cell]]]
+        if cell in blocks:
+            rows = [row for _, _, row in spec._anchors[symbols[cell]]]
+        else:
+            rows = [spec._steps[symbols[cell]]]
         assert any(table[cell] is row for row in rows), cell
     for cell, wrapping in ((0, spec._wrapping[0]), (-1, spec._wrapping[1])):
         steps = spec._steps[symbols[cell]]
