@@ -25,10 +25,6 @@ class ReactionSystem(Enum):
     BZ = "BZ"
 
     @property
-    def alphabet_map(self) -> dict[str, str]:
-        return {name: symbol for name, symbol in _SPECIES[self]}
-
-    @property
     def accept_signature(self) -> str:
         return _SIGNATURES[self][0]
 

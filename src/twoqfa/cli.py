@@ -300,11 +300,10 @@ def transcribe_cmd(recipe_path, fmt) -> None:
 @click.option("--format", "fmt", type=_REPORT_FORMATS, default="human")
 def qft_cmd(n_paths, fmt) -> None:
     """Print the N-path Fourier acceptance matrix."""
-    if n_paths < 1:
-        raise click.UsageError("--n must be at least 1")
-    if n_paths > MAX_QFT_N:
-        raise click.UsageError(f"--n must be at most {MAX_QFT_N}")
-    matrix = qft_matrix(n_paths)
+    try:
+        matrix = qft_matrix(n_paths)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     if fmt == "structured":
         record = {
             "n": n_paths,

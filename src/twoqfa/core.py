@@ -7,40 +7,48 @@ every target state by its head direction.  After each step the accepting
 and rejecting components are measured off and accumulated without
 renormalising the remainder.
 
-``run`` and ``step`` take one of two engines, chosen once per machine from
-the nonzeros of its matrices.  A machine whose matrices are more than half
-zeros, as the bundled machines are, has few configurations live at once and
-few transitions out of each, so ``_Frontier`` steps them one by one.  It
-keys a configuration by the int position * S + state and looks up how that
-key steps in a table of one row per tape cell, the S entries of the cell's
-symbol, which every cell of that symbol shares; most entries of the bundled
-machines are pure relabels, one transition of weight exactly 1 to a running
-state that no other source reaches, which move an amplitude without
-multiplying it.  Configurations on chains of relabels never meet, so each
-walks its chain on its own clock, and a run jumps from event to event: the
-live keys wait in buckets by the step at which they next meet any other
-entry, only the keys of the next such step sum and measure, and the steps in
-between repeat the last residual mass.  Inside a block of one
-input symbol most chains run into a cycle of relabels that moves the head a
-cell or more each period, so ``run`` stamps cycle anchors on the cell at
-which such a cycle enters a long block, and a walk that meets one skips
-every whole period that stays inside the block and the budget at once: a
-walk costs a few reads per block it crosses, not one per step.  A denser
-machine, such as a Haar-random one, soon makes most of its tape live, so
-``_Evolution`` multiplies the array, one product per symbol.  It keeps the
-array in the order a step reads it (``_Layout``): the tape columns sorted by
-symbol, so each symbol's cells are one slice, and within a slice by circular
-distance from cell 0; the running states' rows come before the accepting
-and the rejecting ones.  A run starts on cell 0 and a head moves at most one
-cell a step, so before step t every cell more than t - 1 cells away is
-exactly zero, and the cells within reach form a prefix of each slice: a step
-multiplies the running columns of each symbol's matrix, permuted to that
-order, by the running rows of that prefix alone, moves the products to
-their target cells with one precomputed gather and reads the three masses
-off contiguous row blocks.  Both engines build their index tables once per
-word; ``step`` keeps those of the last machine and word it was called with,
-and converts a vector to and from the dense order around the product, in
-which it reads every row and every column.
+A spec holds only its machine.  The tables the engines read (``_Machine``)
+are built on its first ``run``, ``step``, ``measure`` or ``initial_vector``
+and kept on it, so a changed machine needs a new spec.  They number the
+input symbols as in tape_alphabet, give each state its halting role (0
+running, 1 accepting, 2 rejecting) and fix, from the nonzeros, the one
+engine that ``run`` and ``step`` take.  A machine whose matrices are more
+than half zeros, as the bundled ones are (0.1-8.3% nonzeros at N <= 30,
+1.0-1.6 a column), keeps few configurations live, so ``_Frontier`` steps
+them one by one; the count cannot see a small dense block that a large
+sparse machine keeps busy, and such a machine runs, slowly, there.  A
+denser machine, such as a Haar-random one, soon makes most of its tape
+live, so ``_Evolution`` multiplies the array, one product per symbol.
+
+The frontier keys a configuration by the int position * S + state, and
+per tape symbol and source state a step entry says how the key moves: to
+key + move[t] * S + t - source for each target t.  A column whose one
+nonzero is exactly 1 on a running target, in a row with no other nonzero,
+is a pure relabel, kept as that int delta: no other key reaches its
+target, so relabels never meet and move an amplitude without a multiply.
+Any other column is a tuple of (key delta, amplitude, halting role of the
+target), in target order.  A run's table (``_flat_table``) has one row a
+tape cell, its symbol's entries, shared by every cell of that symbol;
+only the marker rows are copied, to shift by the tape's L * S keys the
+deltas that leave the tape, which the machine lists in wrapping.  Keys on
+relabel chains walk them on their own clocks, and a full step takes only
+the keys due at it.  Inside a block of one input symbol most chains run
+into a cycle of relabels that moves the head a cell or more a period;
+the machine finds these once (``_cycle_anchors``), a run stamps them on
+the cells at which they enter long blocks (``_stamp_anchors``), and a
+walk that meets one skips every whole period inside the block and the
+budget at once, so a walk costs a few reads per block, not one per step.
+
+The dense engine orders the rows of the array by halting role, running
+states first, and the machine keeps each symbol's matrix dense in that
+order.  Per word (``_Layout``), the tape columns are sorted by symbol, so
+each symbol's cells are one slice, and within a slice by distance from
+cell 0, so the cells a run can reach by a step form a prefix of each
+slice, which the step multiplies alone before one gather moves the
+products to their target cells.  Both engines build their index tables
+once per word; ``step`` keeps those of the last word it was called with
+on the machine, and converts a vector to and from the dense order around
+the product, in which it reads every row and every column.
 """
 
 from __future__ import annotations
@@ -48,12 +56,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
 from .errors import AlphabetError
-from .machine import LEFT_MARKER, RIGHT_MARKER, CycleAnchor, TwoWayQfaSpec
+from .machine import LEFT_MARKER, RIGHT_MARKER, TwoWayQfaSpec
 
 #: residual mass below which a run counts as halted
 DEFAULT_HALT_THRESHOLD = 1e-12
@@ -131,9 +139,135 @@ def tape_for(word: str) -> str:
     return LEFT_MARKER + word + RIGHT_MARKER
 
 
-def _tape_symbols(spec: TwoWayQfaSpec, word: str) -> list[int]:
-    """The index in spec.tape_alphabet of each cell of the tape of `word`."""
-    index = spec._symbol_index
+class CycleAnchor(tuple):
+    """A pure relabel on a cycle of relabels, as a run's table holds it on a block's entry cell.
+
+    The fields are (delta, period, shift, stride, reach).  delta is the int
+    key delta it stands for.  After period steps on the block the
+    configuration is back in its state, shift keys, which are stride cells,
+    further on; reach is the furthest cell ahead of its own that a period
+    reads.  As a tuple subclass it fails the frontier's int test, so a walk
+    stops on it and jumps.
+    """
+
+    __slots__ = ()
+
+
+def _cycle_anchors(row: list, moves: list[int]) -> list[tuple[bool, int, list]]:
+    """The anchor rows of one input symbol, from its step entries `row`.
+
+    The pure relabels of a symbol map each source to one target, no two
+    sources to the same target, so they split into chains and cycles.  On a
+    block of the symbol, a configuration on a cycle of period p that moves
+    the head D != 0 cells a period is back in its state every p steps, D
+    cells further on, as long as every cell a period reads lies in the
+    block; the frontier crosses those stretches in one jump.  A cycle that
+    stays in place (D = 0) is never anchored.  A state is anchored when its
+    period reads no cell behind the one it starts on, so its jump may start
+    on the cell at which configurations moving that way enter the block.
+
+    Returns one group per direction of D that has anchors: whether the entry
+    cell is the block's left end (D > 0), the fewest cells in which some
+    anchor runs two whole periods, and `row` with each anchored state's int
+    replaced by its ``CycleAnchor``.
+    """
+    n = len(row)
+    target = {source: (source + entry) % n for source, entry in enumerate(row)
+              if entry.__class__ is int}
+    groups: dict[bool, tuple[int, list]] = {}
+    seen = set()
+    for start in target:
+        cycle, state = [], start
+        while state in target and state not in seen:
+            seen.add(state)
+            cycle.append(state)
+            state = target[state]
+        if state != start:
+            continue
+        # the cell each state of the cycle reads, from start's cell, along D
+        cells = list(accumulate((moves[target[state]] for state in cycle), initial=0))
+        drift = cells.pop()
+        if not drift:
+            continue
+        right, stride = drift > 0, abs(drift)
+        cells = [cell if right else -cell for cell in cells]
+        # one period from state k reads cells[k:] and then cells[:k] + stride
+        lowest = list(accumulate(reversed(cells), min))[::-1]
+        highest = list(accumulate(reversed(cells), max))[::-1]
+        before = list(accumulate(cells, min, initial=math.inf))
+        furthest = list(accumulate(cells, max, initial=-math.inf))
+        least, anchored = groups[right] if right in groups else (math.inf, list(row))
+        for k, state in enumerate(cycle):
+            if lowest[k] < cells[k] or before[k] + stride < cells[k]:
+                continue
+            reach = max(highest[k], furthest[k] + stride) - cells[k]
+            anchored[state] = CycleAnchor((row[state], len(cycle), drift * n, stride, reach))
+            least = min(least, reach + stride + 1)
+        if least < math.inf:
+            groups[right] = (least, anchored)
+    return [(left, least, anchored) for left, (least, anchored) in groups.items()]
+
+
+class _Machine:
+    """The engine tables of one spec (see the module docstring).
+
+    sparse picks the engine.  The frontier reads steps (a row of step
+    entries per tape symbol), wrapping (per marker, the sources with a
+    transition that leaves the tape, and a 1 for each that does) and
+    anchors (the ``_cycle_anchors`` of each input symbol that has any); the
+    dense engine reads rows (the state order), the running and accepting
+    counts, and each state's move and symbol's matrix in that order.
+    step_word and step_tables are the last word ``step`` took and its tables.
+    """
+
+    def __init__(self, spec: TwoWayQfaSpec):
+        n = self.states = len(spec.states)
+        self.symbol_index = {s: i for i, s in enumerate(spec.input_alphabet, start=1)}
+        self.halt_role = np.array([1 if s in spec.accept_states else 2 if s in spec.reject_states
+                                   else 0 for s in spec.states])
+        moves = [spec.head_fn[s] for s in spec.states]
+        columns = list(spec._columns.values())
+        self.sparse = 2 * sum(len(c.values) for c in columns) < len(columns) * n * n
+        self.step_word = self.step_tables = None
+        if not self.sparse:
+            rows = self.rows = np.argsort(self.halt_role, kind="stable")
+            self.running, self.accepting, _ = np.bincount(self.halt_role, minlength=3).tolist()
+            self.moves = np.array(moves)[rows][:, np.newaxis]
+            self.matrices = [matrix.dense()[rows][:, rows] for matrix in columns]
+            return
+        roles = self.halt_role.tolist()
+        self.steps, self.wrapping, last = [], ([], []), len(columns) - 1
+        for symbol, matrix in enumerate(columns):
+            steps = [[] for _ in range(n)]
+            off_tape = [[] for _ in range(n)]
+            leaving = -1 if symbol == 0 else 1 if symbol == last else None
+            for source, target, weight in zip(
+                matrix.owners().tolist(), matrix.indices.tolist(), matrix.values.tolist()
+            ):
+                steps[source].append((moves[target] * n + target - source, weight, roles[target]))
+                off_tape[source].append(int(moves[target] == leaving))
+            self.steps.append([
+                column[0][0] if relabel and not column[0][2] else tuple(column)
+                for column, relabel in zip(steps, matrix.relabels().tolist())
+            ])
+            if leaving is not None:
+                self.wrapping[symbol == last].extend(
+                    (source, tuple(off)) for source, off in enumerate(off_tape) if any(off)
+                )
+        self.anchors = {symbol: groups for symbol in range(1, last)
+                        if (groups := _cycle_anchors(self.steps[symbol], moves))}
+
+
+def _machine(spec: TwoWayQfaSpec) -> _Machine:
+    """The engine tables of `spec`, built on first use and kept on the spec."""
+    if (machine := vars(spec).get("_tables")) is None:
+        machine = spec._tables = _Machine(spec)
+    return machine
+
+
+def _tape_symbols(machine: _Machine, word: str) -> list[int]:
+    """The index in tape_alphabet of each cell of the tape of `word`."""
+    index = machine.symbol_index
     try:
         return [0, *map(index.__getitem__, word), len(index) + 1]
     except KeyError:
@@ -143,7 +277,7 @@ def _tape_symbols(spec: TwoWayQfaSpec, word: str) -> list[int]:
 
 def initial_vector(spec: TwoWayQfaSpec, word: str) -> AmplitudeVector:
     """Unit mass on (initial state, position 0) for the tape of `word`."""
-    _tape_symbols(spec, word)
+    _tape_symbols(_machine(spec), word)
     vec = AmplitudeVector(spec, len(word) + 2)
     vec.data[spec.state_index(spec.initial_state), 0] = 1.0
     return vec
@@ -157,26 +291,25 @@ class _Layout:
     holds tape position columns[j]: the positions sorted by symbol, so each
     symbol's cells form one slice, and within a slice by circular distance
     from cell 0, where every run starts.  groups holds, per tape symbol on
-    the tape, its matrix made dense and permuted to this row order, the
-    first column of its slice and its cone: for each reach r from 0 to
-    widest = L // 2, how many leading columns of the slice lie within r
-    cells of cell 0.  sources holds the flat cell of a step's products that
-    each cell of its result takes: the head moves by the move of the target
-    row, so cell (i, j) takes the product of row i at the tape position
-    columns[j] - move[rows[i]].
+    the tape, the machine's matrix in this row order, the first column of
+    its slice and its cone: for each reach r from 0 to widest = L // 2, how
+    many leading columns of the slice lie within r cells of cell 0.  sources
+    holds the flat cell of a step's products that each cell of its result
+    takes: the head moves by the move of the target row, so cell (i, j)
+    takes the product of row i at the tape position columns[j] - move[rows[i]].
     """
 
-    def __init__(self, spec: TwoWayQfaSpec, symbols: list[int]):
+    def __init__(self, machine: _Machine, symbols: list[int]):
         symbols = np.array(symbols)
         length = symbols.size
-        self.running, self.accepting, _ = np.bincount(spec._halt_role, minlength=3).tolist()
-        rows = self.rows = np.argsort(spec._halt_role, kind="stable")
+        self.running, self.accepting = machine.running, machine.accepting
+        rows = self.rows = machine.rows
         position = np.arange(length)
         distance = np.minimum(position, length - position)
         columns = self.columns = np.lexsort((distance, symbols))
         sorted_column = np.empty(length, dtype=int)
         sorted_column[columns] = position
-        sources = self.sources = sorted_column[(columns - spec._move_column[rows]) % length]
+        sources = self.sources = sorted_column[(columns - machine.moves) % length]
         sources += np.arange(len(rows))[:, np.newaxis] * length
         self.widest = length // 2
         reaches = np.arange(self.widest + 1)
@@ -184,9 +317,8 @@ class _Layout:
         lo = 0
         for symbol, count in enumerate(np.bincount(symbols).tolist()):
             if count:
-                matrix = spec._columns[spec.tape_alphabet[symbol]].dense()[rows][:, rows]
                 cone = np.searchsorted(distance[columns[lo:lo + count]], reaches, side="right")
-                self.groups.append((matrix, lo, cone.tolist()))
+                self.groups.append((machine.matrices[symbol], lo, cone.tolist()))
                 lo += count
 
     def sort(self, data: np.ndarray) -> np.ndarray:
@@ -200,8 +332,8 @@ class _Layout:
         return out
 
 
-def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
-    """The frontier's step entries (see ``TwoWayQfaSpec._steps``) for every cell of the tape.
+def _flat_table(machine: _Machine, symbols: list[int]) -> list:
+    """The frontier's step entries for every cell of the tape.
 
     One row a cell: key position * S + state reads entry key % S of row
     key // S.  An input cell holds its symbol's prebuilt row itself, shared
@@ -210,10 +342,10 @@ def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
     and their wrapping entries rebuilt with the deltas that leave the tape
     shifted by the tape's L * S keys.
     """
-    steps = spec._steps
+    steps = machine.steps
     table = [steps[symbol] for symbol in symbols]
-    shift = len(table) * len(spec.states)
-    left, right = spec._wrapping
+    shift = len(table) * machine.states
+    left, right = machine.wrapping
     for cell, sign, wrapping in ((0, 1, left), (-1, -1, right)):
         row = table[cell] = list(table[cell])
         for source, off in wrapping:
@@ -229,17 +361,17 @@ def _flat_table(spec: TwoWayQfaSpec, symbols: list[int]) -> list:
     return table
 
 
-def _stamp_anchors(spec: TwoWayQfaSpec, symbols: list[int], table: list) -> dict[int, int]:
+def _stamp_anchors(machine: _Machine, symbols: list[int], table: list) -> dict[int, int]:
     """Stamp cycle anchors on the entry cells of the word's long blocks; returns their lengths.
 
     A block is a run of one input symbol.  For each direction group of the
-    symbol's ``TwoWayQfaSpec._anchors`` in which some cycle runs two whole
+    symbol's anchors (``_cycle_anchors``) in which some cycle runs two whole
     periods inside the block, the group's row replaces the symbol's row on
     the cell at which configurations moving that way enter: the left end for
     cycles that move right, the right end for the others.  The returned dict
     maps each stamped cell to the length of its block.
     """
-    anchors = spec._anchors
+    anchors = machine.anchors
     blocks = {}
     lo = 0
     for symbol, cells in groupby(symbols):
@@ -251,23 +383,6 @@ def _stamp_anchors(spec: TwoWayQfaSpec, symbols: list[int], table: list) -> dict
                 blocks[cell] = hi - lo
         lo = hi
     return blocks
-
-
-#: (spec, word, tables) of the last ``step`` call.  Stepwise loops call
-#: ``step`` on one machine and word many times; the tables are fixed by the
-#: two and never written, so they are built once.  A spec is matched by
-#: identity, which its docstring allows: a changed machine needs a new spec.
-_last_step_tables: tuple = (None, None, None)
-
-
-def _step_tables(spec: TwoWayQfaSpec, word: str) -> list:
-    """The index tables of the machine's engine for the tape of `word`, without anchors."""
-    global _last_step_tables
-    last_spec, last_word, tables = _last_step_tables
-    if last_spec is not spec or last_word != word:
-        tables = (_flat_table if spec._sparse else _Layout)(spec, _tape_symbols(spec, word))
-        _last_step_tables = (spec, word, tables)
-    return tables
 
 
 class _Evolution:
@@ -443,14 +558,19 @@ def _mass(amplitudes) -> float:
 def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVector:
     """Apply one evolution step of `spec` on the tape of `word`, on the engine of ``run``.
 
-    The engine's index tables for the last spec and word are kept, so a loop
-    that steps one word builds them once.
+    The engine's index tables for the last word are kept, so a loop that
+    steps one word builds them once.
     """
     n, length = vector.data.shape
     if (n, length) != (len(spec.states), len(word) + 2):
         raise ValueError("vector shape does not match the machine and word")
-    tables = _step_tables(spec, word)
-    if not spec._sparse:
+    machine = _machine(spec)
+    if machine.step_word != word:
+        symbols = _tape_symbols(machine, word)
+        machine.step_tables = (_flat_table if machine.sparse else _Layout)(machine, symbols)
+        machine.step_word = word
+    tables = machine.step_tables
+    if not machine.sparse:
         # every row and column is multiplied: a caller's vector may carry
         # halting amplitude, and amplitude anywhere on the tape
         products = _Evolution(tables, tables.sort(vector.data), tables.widest).apply()
@@ -476,7 +596,7 @@ def measure(
     Returns the accept gain, the reject gain and the residual vector with
     halting amplitudes zeroed.  The residual is not renormalised.
     """
-    role = spec._halt_role
+    role = _machine(spec).halt_role
     residual = AmplitudeVector(spec, vector.tape_length, vector.data.copy())
     residual.data[role != 0] = 0
     return _norm_squared(vector.data[role == 1]), _norm_squared(vector.data[role == 2]), residual
@@ -497,8 +617,8 @@ def run(
     is reported via halted=False, not raised.  A residual that overflows to
     a non-finite value also ends the run with halted=False.
 
-    Every step of a run takes the engine the machine chose when its spec
-    was built, as ``step`` does: the frontier of live configurations when
+    Every step of a run takes the engine the machine's tables fixed, as
+    ``step`` does: the frontier of live configurations when
     its matrices are more than half zeros, the whole-array matmul otherwise.
     """
     if max_steps is None:
@@ -507,15 +627,16 @@ def run(
         raise ValueError("max_steps must be at least 1")
     if not 0 < halt_threshold < 1:
         raise ValueError("halt_threshold must lie strictly between 0 and 1")
-    symbols = _tape_symbols(spec, word)
-    if spec._sparse:
-        table = _flat_table(spec, symbols)
-        blocks = _stamp_anchors(spec, symbols, table)
+    machine = _machine(spec)
+    symbols = _tape_symbols(machine, word)
+    if machine.sparse:
+        table = _flat_table(machine, symbols)
+        blocks = _stamp_anchors(machine, symbols, table)
         # the initial configuration sits at position 0, so its key is its state
         initial = [spec.state_index(spec.initial_state)]
-        engine = _Frontier(table, initial, [1 + 0j], len(spec.states), blocks)
+        engine = _Frontier(table, initial, [1 + 0j], machine.states, blocks)
     else:
-        layout = _Layout(spec, symbols)
+        layout = _Layout(machine, symbols)
         engine = _Evolution(layout, layout.sort(initial_vector(spec, word).data))
 
     p_accept = 0.0

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -112,10 +111,10 @@ class TwoWayQfaSpec:
     by tape symbol (input alphabet plus the two end markers) and gives each
     matrix dense or as ``Columns``; the spec stores a copy as ``Columns``
     (``_columns``) and then holds in symbol_unitaries a read-only view that
-    makes the dense matrices on each lookup.  The constructor fixes the
-    engine from the nonzeros and, for the frontier, builds each column's
-    step entry once, so a changed machine needs a new spec.  padded_entries
-    names (tape symbol, source state) pairs, each at most once.
+    makes the dense matrices on each lookup.  The simulator keeps its
+    tables of the machine on the spec once it first runs it, so a changed
+    machine needs a new spec.  padded_entries names (tape symbol, source
+    state) pairs, each at most once.
     """
 
     states: tuple[str, ...]
@@ -175,66 +174,6 @@ class TwoWayQfaSpec:
         if len(set(self.padded_entries)) != len(self.padded_entries):
             raise ValueError("a padded entry is listed twice")
         self._state_index = {state: i for i, state in enumerate(self.states)}
-        self._move_column = np.array([self.head_fn[s] for s in self.states])[:, np.newaxis]
-        # per state, 0 if it keeps running, 1 if it accepts, 2 if it rejects
-        self._halt_role = np.array(
-            [1 if s in self.accept_states else 2 if s in self.reject_states else 0
-             for s in self.states]
-        )
-        # each input symbol's number in tape_alphabet: a run's set-up is one pass
-        self._symbol_index = {s: i for i, s in enumerate(self.input_alphabet, start=1)}
-        # the engine of run() and step(), fixed by the machine: the frontier
-        # steps each live configuration through the nonzeros of its column,
-        # the dense engine multiplies whole matrices, so mostly-zero matrices
-        # go to the frontier.  The bundled machines at N <= 30 hold 0.1-8.3%
-        # nonzeros, 1.0-1.6 a column, Haar-random machines 100%.  The count
-        # cannot see a small dense block that a large sparse machine keeps
-        # busy; such a machine runs, slowly, on the frontier.
-        columns = list(self._columns.values())
-        self._sparse = 2 * sum(len(c.values) for c in columns) < len(columns) * n * n
-        # for the frontier, which keys a configuration as position * n + state:
-        # per tape symbol (in tape_alphabet order) and source state, how the
-        # key of a configuration in that state on that symbol moves.  The
-        # target t, moved by move[t], is at key + move[t] * n + t - source.  A
-        # column whose one nonzero is exactly 1 on a running target, in a row
-        # with no other nonzero, is a pure relabel and is kept as that int: no
-        # other key can reach its target, so relabels never meet (every int
-        # column of a unitary qualifies).  Any other column is a tuple of
-        # (key delta, amplitude, halting role of the target), in target order.
-        # wrapping holds, for the left and the right marker, the sources whose
-        # column moves a target off the tape (move -1 on the left marker, +1 on
-        # the right) and, per transition, 1 if it does; a word's table shifts
-        # those deltas by L * n, the number of keys on its tape of L cells.
-        self._steps: list[list[int | tuple[tuple[int, complex, int], ...]]] = []
-        self._wrapping: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [])
-        self._anchors: dict[int, list[tuple[bool, int, list]]] = {}
-        if self._sparse:
-            moves = self._move_column[:, 0].tolist()
-            roles = self._halt_role.tolist()
-            last = len(columns) - 1
-            for symbol, matrix in enumerate(columns):
-                steps = [[] for _ in range(n)]
-                off_tape = [[] for _ in range(n)]
-                leaving = -1 if symbol == 0 else 1 if symbol == last else None
-                for source, target, weight in zip(
-                    matrix.owners().tolist(), matrix.indices.tolist(), matrix.values.tolist()
-                ):
-                    role = roles[target]
-                    steps[source].append((moves[target] * n + target - source, weight, role))
-                    off_tape[source].append(int(moves[target] == leaving))
-                self._steps.append([
-                    column[0][0] if relabel and not column[0][2] else tuple(column)
-                    for column, relabel in zip(steps, matrix.relabels().tolist())
-                ])
-                if leaving is not None:
-                    self._wrapping[symbol == last].extend(
-                        (source, tuple(off)) for source, off in enumerate(off_tape) if any(off)
-                    )
-            # per input symbol, the rows of cycle anchors that a run stamps on
-            # the entry cells of the blocks of that symbol (``_cycle_anchors``)
-            for symbol in range(1, last):
-                if groups := _cycle_anchors(self._steps[symbol], moves):
-                    self._anchors[symbol] = groups
 
     @property
     def tape_alphabet(self) -> tuple[str, ...]:
@@ -242,75 +181,6 @@ class TwoWayQfaSpec:
 
     def state_index(self, state: str) -> int:
         return self._state_index[state]
-
-
-class CycleAnchor(tuple):
-    """A pure relabel on a cycle of relabels, as a run's table holds it on a block's entry cell.
-
-    The fields are (delta, period, shift, stride, reach).  delta is the int
-    key delta it stands for.  After period steps on the block the
-    configuration is back in its state, shift keys, which are stride cells,
-    further on; reach is the furthest cell ahead of its own that a period
-    reads.  As a tuple subclass it fails the frontier's int test, so a walk
-    stops on it and jumps.
-    """
-
-    __slots__ = ()
-
-
-def _cycle_anchors(row: list, moves: list[int]) -> list[tuple[bool, int, list]]:
-    """The anchor rows of one input symbol, from its step entries `row`.
-
-    The pure relabels of a symbol map each source to one target, no two
-    sources to the same target, so they split into chains and cycles.  On a
-    block of the symbol, a configuration on a cycle of period p that moves
-    the head D != 0 cells a period is back in its state every p steps, D
-    cells further on, as long as every cell a period reads lies in the
-    block; the frontier crosses those stretches in one jump.  A cycle that
-    stays in place (D = 0) is never anchored.  A state is anchored when its
-    period reads no cell behind the one it starts on, so its jump may start
-    on the cell at which configurations moving that way enter the block.
-
-    Returns one group per direction of D that has anchors: whether the entry
-    cell is the block's left end (D > 0), the fewest cells in which some
-    anchor runs two whole periods, and `row` with each anchored state's int
-    replaced by its ``CycleAnchor``.
-    """
-    n = len(row)
-    target = {source: (source + entry) % n for source, entry in enumerate(row)
-              if entry.__class__ is int}
-    groups: dict[bool, tuple[int, list]] = {}
-    seen = set()
-    for start in target:
-        cycle, state = [], start
-        while state in target and state not in seen:
-            seen.add(state)
-            cycle.append(state)
-            state = target[state]
-        if state != start:
-            continue
-        # the cell each state of the cycle reads, from start's cell, along D
-        cells = list(accumulate((moves[target[state]] for state in cycle), initial=0))
-        drift = cells.pop()
-        if not drift:
-            continue
-        right, stride = drift > 0, abs(drift)
-        cells = [cell if right else -cell for cell in cells]
-        # one period from state k reads cells[k:] and then cells[:k] + stride
-        lowest = list(accumulate(reversed(cells), min))[::-1]
-        highest = list(accumulate(reversed(cells), max))[::-1]
-        before = list(accumulate(cells, min, initial=math.inf))
-        furthest = list(accumulate(cells, max, initial=-math.inf))
-        least, anchored = groups[right] if right in groups else (math.inf, list(row))
-        for k, state in enumerate(cycle):
-            if lowest[k] < cells[k] or before[k] + stride < cells[k]:
-                continue
-            reach = max(highest[k], furthest[k] + stride) - cells[k]
-            anchored[state] = CycleAnchor((row[state], len(cycle), drift * n, stride, reach))
-            least = min(least, reach + stride + 1)
-        if least < math.inf:
-            groups[right] = (least, anchored)
-    return [(left, least, anchored) for left, (least, anchored) in groups.items()]
 
 
 def amplitude_of(

@@ -7,7 +7,7 @@ but has no bookkeeping to get wrong, so both engines in ``twoqfa.core``,
 the frontier stepping and the per-symbol matmul, are checked against it.
 ``reference_run`` is ``run`` rebuilt on it: its own initial array, halting
 masks read from the state names and the same step budget and stopping
-rules, so no code of ``run`` or of the spec's cached rows is shared.
+rules, so no code of ``run`` or of its engine tables is shared.
 ``reference_step`` is ``step`` on it, with nothing of ``twoqfa.core``
 between the amplitude array and the product.
 """

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from unittest import mock
 
@@ -28,8 +28,8 @@ from reference_engine import reference_run, reference_step
 from reference_validate import masked_validate
 
 from twoqfa import core
-from twoqfa.core import AmplitudeVector, initial_vector, measure, run, step
-from twoqfa.machine import DEFAULT_TOLERANCE, CycleAnchor, TwoWayQfaSpec, validate
+from twoqfa.core import AmplitudeVector, CycleAnchor, initial_vector, measure, run, step
+from twoqfa.machine import DEFAULT_TOLERANCE, TwoWayQfaSpec, validate
 from twoqfa.machines import build_m1, build_m2, build_m3
 from twoqfa.specfile import dumps_spec, loads_spec
 
@@ -264,6 +264,62 @@ def test_random_machines_reach_both_engines():
         find(_random_machines(), lambda case: _engines_of(case[0]) == (engine, engine))
 
 
+@pytest.fixture
+def built():
+    """A spy that counts the engine tables built while the test runs."""
+    with mock.patch.object(core, "_Machine", wraps=core._Machine) as spy:
+        yield spy
+
+
+#: a maker of fresh specs on each engine and two words of the same length
+_ENGINES = pytest.mark.parametrize(
+    "make, first, second",
+    [
+        (lambda: build_m2(10), "()", ")("),
+        (lambda: _machine(("a", "b"), "haar", 5, [1, -1, 0, 1, 0, -1], "nnnnar"), "ab", "ba"),
+    ],
+    ids=["frontier", "dense"],
+)
+
+
+def test_a_spec_builds_no_engine_tables_until_it_runs(built):
+    """Building, validating, saving and loading a machine leave only its matrices on the spec."""
+    spec = build_m2(10)
+    assert validate(spec).all_ok
+    loaded = loads_spec(dumps_spec(spec))
+    assert built.call_count == 0
+    for stored in (spec, loaded):
+        assert set(vars(stored)) - {f.name for f in fields(stored)} == {"_columns", "_state_index"}
+
+
+@_ENGINES
+def test_runs_and_a_stepwise_loop_build_the_tables_once(built, make, first, second):
+    spec = make()
+    word = first + second
+    assert run(spec, word, trace=True) == run(spec, word, trace=True)
+    vector = initial_vector(spec, word)
+    for _ in range(5):
+        _, _, vector = measure(spec, step(spec, word, vector))
+    assert built.call_count == 1
+
+
+@_ENGINES
+def test_stepping_another_word_replaces_the_kept_step_tables(make, first, second):
+    """``step`` keeps the tables of the last word only, and never steps a word on another's."""
+    spec = make()
+    vector = initial_vector(spec, first)
+    once = step(spec, first, vector).data
+    machine = core._machine(spec)
+    kept = machine.step_tables
+    assert np.array_equal(step(spec, first, vector).data, once) and machine.step_tables is kept
+    other = step(spec, second, initial_vector(spec, second)).data
+    assert machine.step_word == second and machine.step_tables is not kept
+    fresh = make()
+    assert np.array_equal(other, step(fresh, second, initial_vector(fresh, second)).data)
+    assert np.array_equal(step(spec, first, vector).data, once)
+    assert machine.step_word == first and machine.step_tables is not kept
+
+
 def test_relabels_that_meet_stay_tuples(m2_10, m3_5):
     """Only a column whose target no other source reaches is stored as an int.
 
@@ -272,10 +328,11 @@ def test_relabels_that_meet_stay_tuples(m2_10, m3_5):
     unitary bundled machines qualifies.
     """
     for spec, _, _ in (_MERGE, _CANCEL):
-        for entries in spec._steps:
+        for entries in core._machine(spec).steps:
             assert isinstance(entries[1], tuple) and isinstance(entries[2], tuple)
     for spec, ints in ((m2_10, 446), (m3_5, 284)):
-        assert sum(entry.__class__ is int for entries in spec._steps for entry in entries) == ints
+        steps = core._machine(spec).steps
+        assert sum(entry.__class__ is int for entries in steps for entry in entries) == ints
 
 
 def _events(spec, word) -> tuple[core.RunResult, list[int]]:
@@ -388,11 +445,12 @@ def _cycling(moves: list[int], matrix: np.ndarray) -> TwoWayQfaSpec:
 def test_relabel_cycles_run_to_the_budget(moves, matrix, word, max_steps):
     """A chain of relabels that closes on itself is walked up to the budget, no further."""
     spec = _cycling(moves, matrix)
-    assert spec._sparse
-    assert all(entry.__class__ is int for entries in spec._steps for entry in entries[:2])
+    machine = core._machine(spec)
+    assert machine.sparse
+    assert all(entry.__class__ is int for entries in machine.steps for entry in entries[:2])
     # a cycle that stays in place is never anchored; one that goes round the
     # tape is anchored on its letter, but a jump stays inside a block
-    assert bool(spec._anchors) is any(moves[:2])
+    assert bool(machine.anchors) is any(moves[:2])
     budget = max_steps or core.MAX_STEPS_FACTOR * (len(word) + 2)
     result = run(spec, word, max_steps=max_steps, trace=True)
     assert result == reference_run(spec, word, max_steps=max_steps, trace=True)
@@ -416,7 +474,7 @@ def _table_reads(spec, word, **options) -> tuple[core.RunResult, int]:
     flat_table = core._flat_table
     _CountingTable.reads = 0
     with mock.patch.object(
-        core, "_flat_table", lambda spec, symbols: _CountingTable(flat_table(spec, symbols))
+        core, "_flat_table", lambda machine, symbols: _CountingTable(flat_table(machine, symbols))
     ):
         result = run(spec, word, **options)
     return result, _CountingTable.reads
@@ -424,7 +482,7 @@ def _table_reads(spec, word, **options) -> tuple[core.RunResult, int]:
 
 def _unjumped(spec, word, **options) -> core.RunResult:
     """A run with no cycle anchor stamped, so every key walks one step at a time."""
-    with mock.patch.object(core, "_stamp_anchors", lambda spec, symbols, table: {}):
+    with mock.patch.object(core, "_stamp_anchors", lambda machine, symbols, table: {}):
         return run(spec, word, **options)
 
 
@@ -448,8 +506,8 @@ def test_a_long_block_is_crossed_in_jumps(m2_10, m3_20):
 def test_a_run_table_holds_one_shared_row_per_cell(m3_5):
     """The table of a run is one row a tape cell, not S entries copied for each cell.
 
-    Every input cell without an anchor holds its symbol's row of
-    ``spec._steps`` itself.  A stamped cell holds its anchor group's row, and
+    Every input cell without an anchor holds its symbol's row of the
+    machine's steps itself.  A stamped cell holds its anchor group's row, and
     only the two marker rows are copies, in which the entries that move a
     head off the tape are rebuilt.
     """
@@ -458,17 +516,18 @@ def test_a_run_table_holds_one_shared_row_per_cell(m3_5):
     with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
         run(spec, word)
     table, _, _, _, blocks = frontier.call_args.args
-    symbols = core._tape_symbols(spec, word)
+    machine = core._machine(spec)
+    symbols = core._tape_symbols(machine, word)
     assert len(table) == len(word) + 2
     assert 0 < len(blocks) < len(word) // 2
     for cell in range(1, len(word) + 1):
         if cell in blocks:
-            rows = [row for _, _, row in spec._anchors[symbols[cell]]]
+            rows = [row for _, _, row in machine.anchors[symbols[cell]]]
         else:
-            rows = [spec._steps[symbols[cell]]]
+            rows = [machine.steps[symbols[cell]]]
         assert any(table[cell] is row for row in rows), cell
-    for cell, wrapping in ((0, spec._wrapping[0]), (-1, spec._wrapping[1])):
-        steps = spec._steps[symbols[cell]]
+    for cell, wrapping in ((0, machine.wrapping[0]), (-1, machine.wrapping[1])):
+        steps = machine.steps[symbols[cell]]
         assert table[cell] is not steps and len(table[cell]) == len(steps)
         rebuilt = [source for source, entry in enumerate(table[cell]) if entry != steps[source]]
         assert rebuilt == [source for source, _ in wrapping] != []
@@ -549,7 +608,7 @@ def test_jumps_end_on_block_edges(word):
     A block of one cell is never stamped: no cycle runs two periods in it.
     """
     spec = _pacing()
-    (left, least, row), = spec._anchors[1]
+    (left, least, row), = core._machine(spec).anchors[1]
     assert left and least == 2 and isinstance(row[0], CycleAnchor)
     assert row[0] == (1, 3, 4, 1, 0)  # s0 steps to s1 on its cell, one key on
     steps = 3 * (len(word) + 1) + 1
@@ -746,7 +805,7 @@ def test_an_overflowing_machine_stops_where_the_reference_does(name):
     steps, because its residual is non-finite first.
     """
     spec, word = _overflowing(name)
-    assert spec._sparse
+    assert core._machine(spec).sparse
     got = run(spec, word, max_steps=5000, trace=True)
     want = reference_run(spec, word, max_steps=5000, trace=True)
     assert got.halted is want.halted is False
@@ -764,7 +823,7 @@ def test_an_overflowing_dense_machine_stops_where_the_reference_does():
     rows before the last agree to 1e-12, not bit for bit.
     """
     spec, word = _overflowing("dense")
-    assert not spec._sparse
+    assert not core._machine(spec).sparse
     got = run(spec, word, max_steps=5000, trace=True)
     want = reference_run(spec, word, max_steps=5000, trace=True)
     assert got.halted is want.halted is False
