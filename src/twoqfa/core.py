@@ -38,6 +38,12 @@ the machine finds these once (``_cycle_anchors``), a run stamps them on
 the cells at which they enter long blocks (``_stamp_anchors``), and a
 walk that meets one skips every whole period inside the block and the
 budget at once, so a walk costs a few reads per block, not one per step.
+A mover (``_movers``) waits a fixed number of steps on each letter and
+moves on in its own state, as each path of an N-path stage does, so the
+steps it takes to cross the word are a sum over the word's letter counts;
+the machine keeps rows with its movers put in, a run puts them on the
+first input cell each way (``_stamp_movers``), and a walk that meets one
+there crosses the whole word in one read.
 
 The dense engine orders the rows of the array by halting role, running
 states first, and the machine keeps each symbol's matrix dense in that
@@ -57,6 +63,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, groupby
+from operator import mul
 
 import numpy as np
 
@@ -208,14 +215,65 @@ def _cycle_anchors(row: list, moves: list[int]) -> list[tuple[bool, int, list]]:
     return [(left, least, anchored) for left, (least, anchored) in groups.items()]
 
 
+class Mover(tuple):
+    """A pure relabel from a mover, as a run's table holds it on the first input cell of its way.
+
+    The fields are (delta, move, waits).  delta is the int key delta it
+    stands for and move the mover's head move; reading input symbol x, the
+    mover is back in its state, one cell along move, after waits[x - 1]
+    steps.  As a tuple subclass it fails the frontier's int test, so a walk
+    stops on it and crosses the word.
+    """
+
+    __slots__ = ()
+
+
+def _movers(steps: list[list], moves: list[int]) -> dict[int, tuple[int, ...]]:
+    """Each mover of a machine and its wait on each input symbol, from its step rows.
+
+    A mover is a state s with head move d != 0 that, reading any input
+    symbol x, follows only pure relabels to states that stay in place and
+    then comes back to s itself, one cell along d, after waits[x - 1] steps.
+    So a configuration that enters the first input cell along d in s
+    reaches the opposite marker in s after the sum of its waits over the
+    word's letters, whatever their order.  Each path of an N-path stage is
+    one: its counter state _0 idles a fixed number of steps on each letter.
+
+    No two relabels share a target, so the chains of stay relabels that
+    start on different states share no state, and one pass over a symbol's
+    row follows each of its relabels at most once.  A chain longer than the
+    states would be a cycle of stay relabels, which ends the search.
+    """
+    n = len(moves)
+    waits = {s: [] for s in range(n) if moves[s]}
+    for row in steps[1:-1]:
+        for start in list(waits):
+            state = start
+            for wait in range(1, n + 1):
+                entry = row[state]
+                if entry.__class__ is not int:
+                    break
+                state = (state + entry) % n
+                if moves[state]:
+                    break
+            if state == start and entry.__class__ is int:
+                waits[start].append(wait)
+            else:
+                del waits[start]
+    return {s: tuple(w) for s, w in waits.items()}
+
+
 class _Machine:
     """The engine tables of one spec (see the module docstring).
 
     sparse picks the engine.  The frontier reads steps (a row of step
     entries per tape symbol), wrapping (per marker, the sources with a
-    transition that leaves the tape, and a 1 for each that does) and
-    anchors (the ``_cycle_anchors`` of each input symbol that has any); the
-    dense engine reads rows (the state order), the running and accepting
+    transition that leaves the tape, and a 1 for each that does), anchors
+    (the ``_cycle_anchors`` of each input symbol that has any) and crossing
+    (per direction, right then left, the copy of each input symbol's row
+    and anchor group row that can sit on the first input cell that way,
+    with the ``Mover`` of each mover that moves that way); the dense engine
+    reads rows (the state order), the running and accepting
     counts, and each state's move and symbol's matrix in that order.
     step_word and step_tables are the last word ``step`` took and its tables.
     """
@@ -256,6 +314,22 @@ class _Machine:
                 )
         self.anchors = {symbol: groups for symbol in range(1, last)
                         if (groups := _cycle_anchors(self.steps[symbol], moves))}
+        # per direction, keyed by the id of each row that can sit on the first
+        # input cell that way, the row with that way's movers put in; the
+        # machine keeps both rows, so no id is reused
+        self.crossing = ({}, {})
+        movers = _movers(self.steps, moves)
+        for symbol in range(1, last):
+            steps, groups = self.steps[symbol], self.anchors.get(symbol, ())
+            for right, crossing in zip((True, False), self.crossing):
+                entries = {s: Mover((steps[s], moves[s], waits)) for s, waits in movers.items()
+                           if (moves[s] > 0) is right}
+                if not entries:
+                    continue
+                for row in [steps, *(row for left, _, row in groups if left is right)]:
+                    crossed = crossing[id(row)] = list(row)
+                    for s, entry in entries.items():
+                        crossed[s] = entry
 
 
 def _machine(spec: TwoWayQfaSpec) -> _Machine:
@@ -385,6 +459,21 @@ def _stamp_anchors(machine: _Machine, symbols: list[int], table: list) -> dict[i
     return blocks
 
 
+def _stamp_movers(machine: _Machine, word: str, table: list) -> list[int]:
+    """Put the movers on the first input cell each way; returns `word`'s count of each input symbol.
+
+    Movers that move right sit on cell 1 and movers that move left on cell
+    L - 2, in the machine's copy of the row that the cell already holds, its
+    symbol's or an anchor group's.  On a word of one letter the two cells
+    are one and only the right movers sit on it.
+    """
+    for cell, crossing in zip((1, -2), machine.crossing):
+        table[cell] = crossing.get(id(table[cell]), table[cell])
+    # each input symbol is one letter, and counting letters in a str is
+    # much faster than counting ints in a list
+    return [word.count(letter) for letter in machine.symbol_index]
+
+
 class _Evolution:
     """One-step evolution of a whole amplitude array, one matmul per tape symbol.
 
@@ -457,12 +546,17 @@ class _Frontier:
     ``CycleAnchor`` entries (``_stamp_anchors``); blocks maps each such cell
     to its block's length.  A walk that meets an anchor skips the whole
     periods that read only cells of the block and end within the budget, or,
-    if there are none, takes the anchor's relabel; it never stops on an
-    anchor, so ``advance`` never reads one.
+    if there are none, takes the anchor's relabel.  Cells 1 and L - 2 may
+    hold ``Mover`` entries (``_stamp_movers``), and counts holds the word's
+    count of each input symbol.  A walk that meets a mover there moves it
+    to the opposite marker, L - 2 cells on, in the sum of its waits times
+    those counts, if that many steps are left in the budget, and else takes
+    its relabel.  A walk never stops on an anchor or a mover, so
+    ``advance`` never reads one.
     """
 
-    def __init__(self, table: list, keys: list[int], amplitudes: list[complex],
-                 states: int, blocks: dict[int, int] | None = None):
+    def __init__(self, table: list, keys: list[int], amplitudes: list[complex], states: int,
+                 blocks: dict[int, int] | None = None, counts: list[int] | None = None):
         self.table = table
         self.states = states
         self.size = len(table) * states
@@ -471,6 +565,7 @@ class _Frontier:
         self.dues = [0]
         self.now = 0
         self.blocks = blocks
+        self.counts = counts
 
     def advance(self, due: int = 0) -> tuple[dict[int, complex], dict[int, complex], dict[int, complex]]:
         """The products of the keys due at step `due`, summed per target key, not yet measured.
@@ -510,7 +605,9 @@ class _Frontier:
         heappop(dues)
         running, accept, reject = self.advance(due)
         taken, self.now = due + 1 - self.now, due + 1
-        blocks = self.blocks
+        blocks, counts = self.blocks, self.counts
+        # the keys a mover crosses the L - 2 input cells by
+        crossing = size - 2 * n
         for key, amplitude in running.items():
             if not amplitude:  # cancelled exactly: a zero entry, as in the array
                 continue
@@ -525,6 +622,17 @@ class _Frontier:
                 else:
                     t = end
                     break
+                if entry.__class__ is Mover:
+                    # the whole word within the budget, else one relabel
+                    delta, move, waits = entry
+                    span = sum(map(mul, waits, counts))
+                    if span <= end - t:
+                        key += move * crossing
+                        t += span
+                    else:
+                        key += delta
+                        t += 1
+                    continue
                 if entry.__class__ is not CycleAnchor:
                     break
                 # whole periods inside the block and the budget, else one relabel
@@ -632,9 +740,10 @@ def run(
     if machine.sparse:
         table = _flat_table(machine, symbols)
         blocks = _stamp_anchors(machine, symbols, table)
+        counts = _stamp_movers(machine, word, table)
         # the initial configuration sits at position 0, so its key is its state
         initial = [spec.state_index(spec.initial_state)]
-        engine = _Frontier(table, initial, [1 + 0j], machine.states, blocks)
+        engine = _Frontier(table, initial, [1 + 0j], machine.states, blocks, counts)
     else:
         layout = _Layout(machine, symbols)
         engine = _Evolution(layout, layout.sort(initial_vector(spec, word).data))

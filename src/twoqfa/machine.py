@@ -113,8 +113,9 @@ class TwoWayQfaSpec:
     (``_columns``) and then holds in symbol_unitaries a read-only view that
     makes the dense matrices on each lookup.  The simulator keeps its
     tables of the machine on the spec once it first runs it, so a changed
-    machine needs a new spec.  padded_entries names (tape symbol, source
-    state) pairs, each at most once.
+    machine needs a new spec; pickling or copying a spec leaves them out.
+    padded_entries names (tape symbol, source state) pairs, each at most
+    once.
     """
 
     states: tuple[str, ...]
@@ -174,6 +175,16 @@ class TwoWayQfaSpec:
         if len(set(self.padded_entries)) != len(self.padded_entries):
             raise ValueError("a padded entry is listed twice")
         self._state_index = {state: i for i, state in enumerate(self.states)}
+
+    def __getstate__(self) -> dict:
+        """The state ``pickle`` and ``copy`` keep: the spec without the simulator's tables.
+
+        A run builds those again on the copy, so a pickled spec is the same
+        bytes before and after a run.
+        """
+        state = vars(self).copy()
+        state.pop("_tables", None)
+        return state
 
     @property
     def tape_alphabet(self) -> tuple[str, ...]:

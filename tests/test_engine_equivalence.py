@@ -14,7 +14,9 @@ flag agrees and every deviation agrees to 1e-12 (unitarity bit for bit).
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import re
 from dataclasses import fields, replace
 from functools import partial
@@ -28,7 +30,7 @@ from reference_engine import reference_run, reference_step
 from reference_validate import masked_validate
 
 from twoqfa import core
-from twoqfa.core import AmplitudeVector, CycleAnchor, initial_vector, measure, run, step
+from twoqfa.core import AmplitudeVector, CycleAnchor, Mover, initial_vector, measure, run, step
 from twoqfa.machine import DEFAULT_TOLERANCE, TwoWayQfaSpec, validate
 from twoqfa.machines import build_m1, build_m2, build_m3
 from twoqfa.specfile import dumps_spec, loads_spec
@@ -293,6 +295,22 @@ def test_a_spec_builds_no_engine_tables_until_it_runs(built):
 
 
 @_ENGINES
+def test_a_pickled_or_copied_spec_leaves_the_tables_out(make, first, second):
+    """Pickles and copies of a spec leave out the tables a run builds, and run as the spec."""
+    spec = make()
+    before = pickle.dumps(spec)
+    word = first + second
+    result = run(spec, word, trace=True)
+    step(spec, word, initial_vector(spec, word))
+    assert "_tables" in vars(spec)
+    assert pickle.dumps(spec) == before
+    for copied in (pickle.loads(before), copy.deepcopy(spec), copy.copy(spec)):
+        assert "_tables" not in vars(copied)
+        assert run(copied, word, trace=True) == result
+        assert core._machine(copied) is not core._machine(spec)
+
+
+@_ENGINES
 def test_runs_and_a_stepwise_loop_build_the_tables_once(built, make, first, second):
     spec = make()
     word = first + second
@@ -470,19 +488,20 @@ class _CountingTable(list):
 
 
 def _table_reads(spec, word, **options) -> tuple[core.RunResult, int]:
-    """A run and the number of table entries it read."""
-    flat_table = core._flat_table
+    """A run and the number of table entries its frontier read."""
+    frontier = core._Frontier
     _CountingTable.reads = 0
     with mock.patch.object(
-        core, "_flat_table", lambda machine, symbols: _CountingTable(flat_table(machine, symbols))
+        core, "_Frontier", lambda table, *args: frontier(_CountingTable(table), *args)
     ):
         result = run(spec, word, **options)
     return result, _CountingTable.reads
 
 
 def _unjumped(spec, word, **options) -> core.RunResult:
-    """A run with no cycle anchor stamped, so every key walks one step at a time."""
-    with mock.patch.object(core, "_stamp_anchors", lambda machine, symbols, table: {}):
+    """A run with no cycle anchor and no mover in its table, so every key walks a step at a time."""
+    with mock.patch.object(core, "_stamp_anchors", lambda machine, symbols, table: {}), \
+            mock.patch.object(core, "_stamp_movers", lambda machine, word, table: None):
         return run(spec, word, **options)
 
 
@@ -494,7 +513,8 @@ def test_a_long_block_is_crossed_in_jumps(m2_10, m3_20):
     """Keys on relabel cycles cross a block in a few reads, not one read a step.
 
     Walked one step at a time, m2 N=10 reads 8,494 entries on the word below
-    and m3 N=20 3,444,439; with the jumps they read 68 and 2,568.
+    and m3 N=20 3,444,439; with the block jumps alone they read 68 and
+    2,568, and with the whole-word jumps as well 58 and 1,310.
     """
     for spec, word, bound in ((m2_10, "(" * 64 + ")" * 64, 500),
                               (m3_20, "a" * 341 + "b" * 342 + "c" * 341, 20_000)):
@@ -503,34 +523,142 @@ def test_a_long_block_is_crossed_in_jumps(m2_10, m3_20):
         assert result == _unjumped(spec, word)
 
 
+def test_the_paths_of_each_n_path_stage_are_its_movers(m2_10, m3_5):
+    """A path's counter state _0 idles a fixed number of steps on each letter, so it is a mover.
+
+    In m2 path i waits i + 1 steps on ( and N - i + 2 on ); in m3 the paths
+    of stage two move left and wait 1 on a, N - i + 2 on b and i + 1 on c,
+    and those of stage three move right and wait i + 1 on a, N - i + 2 on b
+    and 1 on c.  No other state is one.
+    """
+    n = m2_10.n_paths
+    m2 = {f"q_{i}_0": (i + 1, n - i + 2) for i in range(1, n + 1)}
+    n = m3_5.n_paths
+    m3 = {f"m_{i}_0": (i + 1, n - i + 2, 1) for i in range(1, n + 1)}
+    m3 |= {f"g_{i}_0": (1, n - i + 2, i + 1) for i in range(1, n + 1)}
+    for spec, want in ((m2_10, m2), (m3_5, m3)):
+        moves = [spec.head_fn[s] for s in spec.states]
+        movers = core._movers(core._machine(spec).steps, moves)
+        assert {spec.states[s]: waits for s, waits in movers.items()} == want
+    assert {m3_5.head_fn[state] for state in m3 if state[0] == "m"} == {1}
+    assert {m3_5.head_fn[state] for state in m3 if state[0] == "g"} == {-1}
+
+
+def test_a_word_of_one_letter_blocks_is_crossed_in_one_read_a_path(m2_10):
+    """No block of ()³² is long enough for an anchor, but each path crosses the word in one read.
+
+    With movers switched off the run reads 4,394 entries; with them 244.
+    """
+    word = "()" * 32
+    result, reads = _table_reads(m2_10, word)
+    assert result.halted and reads < 500
+    assert result == _unjumped(m2_10, word)
+
+
+def test_a_long_stay_chain_is_followed_once_a_symbol():
+    """A mover whose wait is a chain of 300 stay relabels, beside a stay cycle that never moves.
+
+    The search reads each entry of the chain once per input symbol, and the
+    two states that swap in place are no movers; a run crosses the word in
+    one read and takes 301 steps a cell.
+    """
+    chain = 300
+    n = chain + 4
+    # s0 moves right, s1 .. s300 stay and lead back to s0; s301 and s302
+    # swap in place; s303 rejects, and s0 swaps with it on the right marker
+    paced = np.arange(n)
+    paced[:chain + 1] = np.roll(np.arange(chain + 1), -1)
+    paced[[chain + 1, chain + 2]] = chain + 2, chain + 1
+    ending = np.arange(n)
+    ending[[0, n - 1]] = n - 1, 0
+    states = tuple(f"s{i}" for i in range(n))
+    spec = TwoWayQfaSpec(
+        states=states,
+        input_alphabet=("a", "b"),
+        initial_state="s0",
+        accept_states=frozenset(),
+        reject_states=frozenset({states[-1]}),
+        symbol_unitaries={"#": np.eye(n)[:, paced], "a": np.eye(n)[:, paced],
+                          "b": np.eye(n)[:, paced], "$": np.eye(n)[:, ending]},
+        head_fn={state: int(state == "s0") for state in states},
+    )
+    machine = core._machine(spec)
+    rows = [_CountingTable(row) for row in machine.steps]
+    _CountingTable.reads = 0
+    assert core._movers(rows, [1] + [0] * (n - 1)) == {0: (chain + 1, chain + 1)}
+    assert _CountingTable.reads == 2 * (chain + 1)
+    word, budget = "abba", 10_000
+    whole, reads = _table_reads(spec, word, max_steps=budget, trace=True)
+    assert (whole.steps, whole.p_reject) == ((chain + 1) * (len(word) + 1) + 1, 1.0)
+    # the chain on the left marker, one read on cell 1, two on the right marker
+    assert reads == chain + 1 + 1 + 2
+    assert whole == _unjumped(spec, word, max_steps=budget, trace=True)
+    for budget in (1, chain + 2, 3 * chain, whole.steps - 1):
+        cut = run(spec, word, max_steps=budget, trace=True)
+        assert cut == _unjumped(spec, word, max_steps=budget, trace=True)
+
+
+#: m2 N=10 on words of short blocks, one of them a random Dyck member
+_DYCK = [("m2_10", "()" * 32), ("m2_10", "(()())((()(()()()())))()(())(())")]
+
+
+@pytest.mark.parametrize("name, word", _DYCK)
+def test_every_budget_on_a_dyck_word_ends_the_run_at_its_step(name, word, request):
+    """A budget that ends inside a whole-word jump stops the run there, as the whole run's rows."""
+    spec = request.getfixturevalue(name)
+    whole, reads = _table_reads(spec, word, trace=True)
+    assert whole.halted and reads < whole.steps / 2
+    assert whole == _unjumped(spec, word, trace=True)
+    for budget in range(1, whole.steps + 1):
+        cut = run(spec, word, max_steps=budget, trace=True)
+        assert cut.steps == budget
+        assert cut.halted is (budget == whole.steps)
+        assert cut.trace == whole.trace[:budget]
+
+
 def test_a_run_table_holds_one_shared_row_per_cell(m3_5):
     """The table of a run is one row a tape cell, not S entries copied for each cell.
 
     Every input cell without an anchor holds its symbol's row of the
-    machine's steps itself.  A stamped cell holds its anchor group's row, and
-    only the two marker rows are copies, in which the entries that move a
-    head off the tape are rebuilt.
+    machine's steps itself.  A stamped cell holds its anchor group's row.
+    Cells 1 and L - 2 hold the machine's copy of that row with the movers
+    that go right, or left, put in, and only the two marker rows are copies
+    made per run, in which the entries that move a head off the tape are
+    rebuilt.  The first word has a stamped first block, the second a
+    stamped last block.
     """
     spec = m3_5
-    word = "a" * 21 + "b" * 20 + "c" * 22 + "bca"
-    with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
-        run(spec, word)
-    table, _, _, _, blocks = frontier.call_args.args
     machine = core._machine(spec)
-    symbols = core._tape_symbols(machine, word)
-    assert len(table) == len(word) + 2
-    assert 0 < len(blocks) < len(word) // 2
-    for cell in range(1, len(word) + 1):
-        if cell in blocks:
-            rows = [row for _, _, row in machine.anchors[symbols[cell]]]
-        else:
-            rows = [machine.steps[symbols[cell]]]
-        assert any(table[cell] is row for row in rows), cell
-    for cell, wrapping in ((0, machine.wrapping[0]), (-1, machine.wrapping[1])):
-        steps = machine.steps[symbols[cell]]
-        assert table[cell] is not steps and len(table[cell]) == len(steps)
-        rebuilt = [source for source, entry in enumerate(table[cell]) if entry != steps[source]]
-        assert rebuilt == [source for source, _ in wrapping] != []
+    movers = core._movers(machine.steps, [spec.head_fn[s] for s in spec.states])
+    for word, first, last in (("a" * 21 + "b" * 20 + "c" * 22 + "bca", True, False),
+                              ("c" + "a" * 5 + "b" * 7 + "c" * 9, False, True)):
+        with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
+            run(spec, word)
+        table, _, _, _, blocks, counts = frontier.call_args.args
+        symbols = core._tape_symbols(machine, word)
+        assert counts == [word.count(letter) for letter in "abc"]
+        assert len(table) == len(word) + 2
+        assert 0 < len(blocks) < len(word) // 2
+        assert (1 in blocks, len(word) in blocks) == (first, last)
+        for cell in range(1, len(word) + 1):
+            if cell in blocks:
+                rows = [row for _, _, row in machine.anchors[symbols[cell]]]
+            else:
+                rows = [machine.steps[symbols[cell]]]
+            for end, crossing, right in ((1, machine.crossing[0], True),
+                                         (len(word), machine.crossing[1], False)):
+                if cell == end:
+                    rows = [crossing[id(row)] for row in rows if id(row) in crossing]
+                    assert len(rows) == 1, cell
+                    ways = {s for s, entry in enumerate(rows[0]) if entry.__class__ is Mover}
+                    assert ways == {s for s in movers
+                                    if (spec.head_fn[spec.states[s]] > 0) is right}
+            assert any(table[cell] is row for row in rows), cell
+        for cell, wrapping in ((0, machine.wrapping[0]), (-1, machine.wrapping[1])):
+            steps = machine.steps[symbols[cell]]
+            assert table[cell] is not steps and len(table[cell]) == len(steps)
+            rebuilt = [source for source, entry in enumerate(table[cell]) if entry != steps[source]]
+            assert rebuilt == [source for source, _ in wrapping] != []
 
 
 def test_each_full_step_advances_only_the_keys_due_at_it(m3_5):
@@ -598,33 +726,103 @@ def _pacing() -> TwoWayQfaSpec:
     )
 
 
+def _handing_over() -> TwoWayQfaSpec:
+    """Two relabel cycles of period 3 that move one cell right a period, which b joins into one.
+
+    s0 enters a cell, s1 and s2 stay on it, and s0 moves on, and s4, s5 and
+    s6 do the same; on b, s2 hands over to s4 and s6 to s0.  So every cell
+    still takes 3 steps, but on b neither s0 nor s4 comes back to itself and
+    neither is a mover: the b cycle moves two cells in 6 steps, and a period
+    from s0 or s4 reads one cell ahead.  On the right marker s0 and s4 swap
+    with the rejecting s3 and s7, so the whole mass rejects at step
+    3 * (n + 1) + 1 on a word of n letters.
+    """
+    # column j holds the 1 of source sj, on the row of its target
+    paced = np.eye(8)[:, [1, 2, 0, 3, 5, 6, 4, 7]]
+    states = tuple(f"s{i}" for i in range(8))
+    return TwoWayQfaSpec(
+        states=states,
+        input_alphabet=("a", "b"),
+        initial_state="s0",
+        accept_states=frozenset(),
+        reject_states=frozenset({"s3", "s7"}),
+        symbol_unitaries={
+            "#": paced,
+            "a": paced,
+            "b": np.eye(8)[:, [1, 2, 4, 3, 5, 6, 0, 7]],
+            "$": np.eye(8)[:, [3, 1, 2, 0, 7, 5, 6, 4]],
+        },
+        head_fn={state: int(state in ("s0", "s4")) for state in states},
+    )
+
+
+def _assert_paced_run(spec, word, reads):
+    """`word` rejects at step 3 * (n + 1) + 1 after `reads` reads; cut, it runs as unjumped."""
+    steps = 3 * (len(word) + 1) + 1
+    whole, counted = _table_reads(spec, word, trace=True)
+    assert (whole.steps, whole.halted, whole.p_reject) == (steps, True, 1.0)
+    assert counted == reads
+    assert whole == _unjumped(spec, word, trace=True)
+    assert whole == reference_run(spec, word, trace=True)
+    for budget in range(1, steps + 1):
+        cut = run(spec, word, max_steps=budget, trace=True)
+        assert cut == _unjumped(spec, word, max_steps=budget, trace=True)
+        assert cut.steps == budget and cut.trace == whole.trace[:budget]
+
+
+_PACED_WORDS = [
+    "a", "ab", "aab", "abba", "aaaab", "baaaab", "aaaabbbbaaaa", "a" * 9 + "b" + "a" * 2
+]
+
+
+@pytest.mark.parametrize("word", _PACED_WORDS)
+def test_a_mover_crosses_the_word_in_one_read(word):
+    """s0 of the paced cycle is a mover: from cell 1 it reaches the right marker in one read.
+
+    Three reads on the left marker, one on cell 1, and two on the right
+    marker, the walk's and the full step's, whatever the blocks; a budget
+    that ends before the right marker walks the cells instead.
+    """
+    spec = _pacing()
+    machine = core._machine(spec)
+    assert core._movers(machine.steps, [1, 0, 0, 0]) == {0: (3, 3)}
+    (left, least, row), = machine.anchors[1]
+    assert left and least == 2 and isinstance(row[0], CycleAnchor)
+    assert row[0] == (1, 3, 4, 1, 0)  # s0 steps to s1 on its cell, one key on
+    for crossed in machine.crossing[0].values():
+        assert crossed[0] == (1, 1, (3, 3)) and isinstance(crossed[0], Mover)
+    assert machine.crossing[1] == {}
+    _assert_paced_run(spec, word, 3 + 1 + 2)
+
+
 @pytest.mark.parametrize(
-    "word",
-    ["a", "ab", "aab", "abba", "aaaab", "baaaab", "aaaabbbbaaaa", "a" * 9 + "b" + "a" * 2],
+    "word", _PACED_WORDS + ["b", "abbba", "abbbba", "bbbbba", "abbbbbab", "a" * 3 + "b" * 8 + "a"]
 )
 def test_jumps_end_on_block_edges(word):
     """Blocks of 1, 2 and p + 1 cells, each jump ending on the first cell past its block.
 
-    A block of one cell is never stamped: no cycle runs two periods in it.
+    A block is stamped when some cycle runs two periods in it: an a block of
+    2 cells or more, a b block of 4 or more.  A jump on an a block ends on
+    the first cell past it; one on a b block of odd length ends on its last
+    cell, which the walk then crosses in three reads.
     """
-    spec = _pacing()
-    (left, least, row), = core._machine(spec).anchors[1]
-    assert left and least == 2 and isinstance(row[0], CycleAnchor)
-    assert row[0] == (1, 3, 4, 1, 0)  # s0 steps to s1 on its cell, one key on
-    steps = 3 * (len(word) + 1) + 1
-    whole, reads = _table_reads(spec, word, trace=True)
-    assert (whole.steps, whole.halted, whole.p_reject) == (steps, True, 1.0)
-    assert whole == _unjumped(spec, word, trace=True)
-    assert whole == reference_run(spec, word, trace=True)
-    # three reads on the left marker and on each one-cell block, one on the
-    # anchor of each longer block, two on the right marker: the walk's and
-    # the full step's
-    blocks = [len(block) for block in re.findall(r"a+|b+", word)]
-    assert reads == 3 + sum(3 if length == 1 else 1 for length in blocks) + 2
-    for budget in range(1, steps + 1):
-        cut = run(spec, word, max_steps=budget, trace=True)
-        assert cut == _unjumped(spec, word, max_steps=budget, trace=True)
-        assert cut.trace == whole.trace[:budget]
+    spec = _handing_over()
+    machine = core._machine(spec)
+    assert core._movers(machine.steps, [1, 0, 0, 0, 1, 0, 0, 0]) == {}
+    assert machine.crossing == ({}, {})
+    (left, least, row), = machine.anchors[1]
+    assert left and least == 2 and row[0] == (1, 3, 8, 1, 0) and row[4] == (1, 3, 8, 1, 0)
+    (left, least, row), = machine.anchors[2]
+    assert left and least == 4 and row[0] == (1, 6, 16, 2, 1) and row[4] == (1, 6, 16, 2, 1)
+    # three reads on the left marker, two on the right marker: the walk's
+    # and the full step's
+    reads = 3 + 2
+    for block in re.findall(r"a+|b+", word):
+        if block[0] == "a":
+            reads += 3 if len(block) == 1 else 1
+        else:
+            reads += 3 * len(block) if len(block) < 4 else 1 + 3 * (len(block) % 2)
+    _assert_paced_run(spec, word, reads)
 
 
 @pytest.mark.parametrize("name, word", _LONG_BLOCKS[1:])
@@ -665,11 +863,18 @@ def test_stepping_a_long_block_equals_its_run(name, word, request):
 # cycles that read a cell behind some of their states, after and before them
 @example(9, 97, [("b", 2)], 120)
 @example(9, 34, [("a", 7)], 104)
+# movers: both ways, cut inside a crossing; waits 1 and 3; one crossing on a
+# run that halts; waits 2 and 2 with too few steps left for the crossing
+@example(5, 8, [("a", 3), ("b", 2), ("a", 4)], 37)
+@example(6, 13, [("b", 5), ("a", 1)], 200)
+@example(4, 27, [("a", 3), ("b", 2), ("a", 4)], 300)
+@example(9, 90, [("b", 2), ("a", 7)], 11)
 def test_random_relabel_machines_jump_as_they_walk(n, seed, blocks, max_steps):
     """On random permutations of weight 1, whose cycles move either way and may step back.
 
     A cycle that reads a cell behind its start is anchored only on the
-    states from which it never does.
+    states from which it never does.  Some states come back to themselves
+    one cell on after each letter, so they are movers and cross the word.
     """
     rng = np.random.default_rng(seed)
     states = tuple(f"s{i}" for i in range(n))
