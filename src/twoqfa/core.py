@@ -28,16 +28,19 @@ is a pure relabel, kept as that int delta: no other key reaches its
 target, so relabels never meet and move an amplitude without a multiply.
 Any other column is a tuple of (key delta, amplitude, halting role of the
 target), in target order.  A run's table (``_flat_table``) has one row a
-tape cell, its symbol's entries, shared by every cell of that symbol;
-only the marker rows are copied, to shift by the tape's L * S keys the
-deltas that leave the tape, which the machine lists in wrapping.  Keys on
-relabel chains walk them on their own clocks, and a full step takes only
-the keys due at it.  Inside a block of one input symbol most chains run
-into a cycle of relabels that moves the head a cell or more a period;
-the machine finds these once (``_cycle_anchors``), a run stamps them on
-the cells at which they enter long blocks (``_stamp_anchors``), and a
-walk that meets one skips every whole period inside the block and the
-budget at once, so a walk costs a few reads per block, not one per step.
+tape cell, its letter's entries, shared by every cell of that letter and
+mapped from the word in one pass; only the marker rows are copied, to
+shift by the tape's L * S keys the deltas that leave the tape, which the
+machine lists in wrapping.  Keys on relabel chains walk them on their own
+clocks, and a full step takes only the keys due at it.  Inside a block of
+one input symbol most chains run into a cycle of relabels that moves the
+head a cell or more a period; the machine finds these once
+(``_cycle_anchors``), and a run stamps them on the cells at which they
+enter blocks of at least ``_JUMP_CELLS`` letters (``_stamp_anchors``),
+which one pattern per machine finds in the word.  A walk that meets one
+skips every whole period inside the block and the budget at once, so a
+walk costs a few reads per long block, not one per step; a shorter block
+is walked, since there a jump costs more than the reads it saves.
 A mover (``_movers``) waits a fixed number of steps on each letter and
 moves on in its own state, as each path of an N-path stage does, so the
 steps it takes to cross the word are a sum over the word's letter counts;
@@ -60,9 +63,10 @@ the product, in which it reads every row and every column.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -75,6 +79,16 @@ DEFAULT_HALT_THRESHOLD = 1e-12
 
 #: multiplier in the default step budget 64 * n_paths * (n + 2)
 MAX_STEPS_FACTOR = 64
+
+# The fewest letters of a block on which a run stamps cycle anchors.  A
+# deterministic sweep walks a block at one table read a letter (about
+# 0.1 us), while a stamp and its jump cost about 2 us a block.  Run with
+# and without anchors, in 41 interleaved batches a word on a 2-core host,
+# m2 N=10 on (^k )^k and m3 N=5 on a^k b^(k+1) c^k read +3 and +5 us
+# (anchors slower) at k = 16, +0.3 and -1.9 us at k = 32, -0.7 and -6 us
+# at 40 and -7 and -14 us at 64 (median paired differences): the jump
+# breaks even with the walk at 32 letters.
+_JUMP_CELLS = 32
 
 
 @dataclass(frozen=True, order=True)
@@ -267,9 +281,12 @@ class _Machine:
     """The engine tables of one spec (see the module docstring).
 
     sparse picks the engine.  The frontier reads steps (a row of step
-    entries per tape symbol), wrapping (per marker, the sources with a
-    transition that leaves the tape, and a 1 for each that does), anchors
-    (the ``_cycle_anchors`` of each input symbol that has any) and crossing
+    entries per tape symbol), letter_rows (each input letter's row of
+    steps), wrapping (per marker, the sources with a transition that leaves
+    the tape, and a 1 for each that does), anchors (the ``_cycle_anchors``
+    of each input symbol that has any), long_blocks (a pattern that finds
+    the blocks of a word that ``_stamp_anchors`` stamps, or None for a
+    machine with no anchors) and crossing
     (per direction, right then left, the copy of each input symbol's row
     and anchor group row that can sit on the first input cell that way,
     with the ``Mover`` of each mover that moves that way); the dense engine
@@ -312,8 +329,16 @@ class _Machine:
                 self.wrapping[symbol == last].extend(
                     (source, tuple(off)) for source, off in enumerate(off_tape) if any(off)
                 )
+        self.letter_rows = {letter: self.steps[i] for letter, i in self.symbol_index.items()}
         self.anchors = {symbol: groups for symbol in range(1, last)
                         if (groups := _cycle_anchors(self.steps[symbol], moves))}
+        # a group stamps a block of max(least, _JUMP_CELLS) letters or more,
+        # so the pattern finds the blocks that some group of their letter stamps
+        fewest = {letter: max(min(least for _, least, _ in self.anchors[i]), _JUMP_CELLS)
+                  for letter, i in self.symbol_index.items() if i in self.anchors}
+        self.long_blocks = re.compile("|".join(
+            f"{re.escape(letter)}{{{cells},}}" for letter, cells in fewest.items()
+        )) if fewest else None
         # per direction, keyed by the id of each row that can sit on the first
         # input cell that way, the row with that way's movers put in; the
         # machine keeps both rows, so no id is reused
@@ -345,8 +370,13 @@ def _tape_symbols(machine: _Machine, word: str) -> list[int]:
     try:
         return [0, *map(index.__getitem__, word), len(index) + 1]
     except KeyError:
-        position = next(p for p, symbol in enumerate(word) if symbol not in index)
-        raise AlphabetError(word[position], position) from None
+        raise _alphabet_error(machine, word) from None
+
+
+def _alphabet_error(machine: _Machine, word: str) -> AlphabetError:
+    """The error that names the first letter of `word` that is no input symbol, and its position."""
+    position = next(p for p, symbol in enumerate(word) if symbol not in machine.symbol_index)
+    return AlphabetError(word[position], position)
 
 
 def initial_vector(spec: TwoWayQfaSpec, word: str) -> AmplitudeVector:
@@ -406,18 +436,21 @@ class _Layout:
         return out
 
 
-def _flat_table(machine: _Machine, symbols: list[int]) -> list:
-    """The frontier's step entries for every cell of the tape.
+def _flat_table(machine: _Machine, word: str) -> list:
+    """The frontier's step entries for every cell of the tape of `word`.
 
     One row a cell: key position * S + state reads entry key % S of row
-    key // S.  An input cell holds its symbol's prebuilt row itself, shared
-    with every other cell of that symbol and never written.  Only the end
+    key // S.  An input cell holds its letter's prebuilt row itself, shared
+    with every other cell of that letter and never written.  Only the end
     markers can move a head off the tape, so only their two rows are copied,
     and their wrapping entries rebuilt with the deltas that leave the tape
     shifted by the tape's L * S keys.
     """
     steps = machine.steps
-    table = [steps[symbol] for symbol in symbols]
+    try:
+        table = [steps[0], *map(machine.letter_rows.__getitem__, word), steps[-1]]
+    except KeyError:
+        raise _alphabet_error(machine, word) from None
     shift = len(table) * machine.states
     left, right = machine.wrapping
     for cell, sign, wrapping in ((0, 1, left), (-1, -1, right)):
@@ -435,27 +468,30 @@ def _flat_table(machine: _Machine, symbols: list[int]) -> list:
     return table
 
 
-def _stamp_anchors(machine: _Machine, symbols: list[int], table: list) -> dict[int, int]:
+def _stamp_anchors(machine: _Machine, word: str, table: list) -> dict[int, int]:
     """Stamp cycle anchors on the entry cells of the word's long blocks; returns their lengths.
 
     A block is a run of one input symbol.  For each direction group of the
-    symbol's anchors (``_cycle_anchors``) in which some cycle runs two whole
-    periods inside the block, the group's row replaces the symbol's row on
-    the cell at which configurations moving that way enter: the left end for
-    cycles that move right, the right end for the others.  The returned dict
-    maps each stamped cell to the length of its block.
+    symbol's anchors (``_cycle_anchors``), on a block of at least
+    max(least, ``_JUMP_CELLS``) letters, the group's row replaces the
+    symbol's row on the cell at which configurations moving that way enter:
+    the left end for cycles that move right, the right end for the others.
+    The machine's pattern finds those blocks in the word itself, so a word
+    of short blocks costs one scan.  The returned dict maps each stamped
+    cell to the length of its block.
     """
-    anchors = machine.anchors
     blocks = {}
-    lo = 0
-    for symbol, cells in groupby(symbols):
-        hi = lo + len(list(cells))
-        for left, least, row in anchors.get(symbol, ()):
+    if machine.long_blocks is None:
+        return blocks
+    anchors, index = machine.anchors, machine.symbol_index
+    for match in machine.long_blocks.finditer(word):
+        # letter p of the word sits on cell p + 1
+        lo, hi = match.span()
+        for left, least, row in anchors[index[word[lo]]]:
             if hi - lo >= least:
-                cell = lo if left else hi - 1
+                cell = lo + 1 if left else hi
                 table[cell] = row
                 blocks[cell] = hi - lo
-        lo = hi
     return blocks
 
 
@@ -651,7 +687,9 @@ class _Frontier:
                 heappush(dues, t)
             else:
                 bucket.append(key)
-        return _mass(live.values()), _mass(accept.values()), _mass(reject.values()), taken
+        # most full steps halt nothing, and the sum of nothing is 0.0
+        return (_mass(live.values()), _mass(accept.values()) if accept else 0.0,
+                _mass(reject.values()) if reject else 0.0, taken)
 
 
 def _mass(amplitudes) -> float:
@@ -674,8 +712,8 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
         raise ValueError("vector shape does not match the machine and word")
     machine = _machine(spec)
     if machine.step_word != word:
-        symbols = _tape_symbols(machine, word)
-        machine.step_tables = (_flat_table if machine.sparse else _Layout)(machine, symbols)
+        machine.step_tables = (_flat_table(machine, word) if machine.sparse
+                               else _Layout(machine, _tape_symbols(machine, word)))
         machine.step_word = word
     tables = machine.step_tables
     if not machine.sparse:
@@ -736,16 +774,15 @@ def run(
     if not 0 < halt_threshold < 1:
         raise ValueError("halt_threshold must lie strictly between 0 and 1")
     machine = _machine(spec)
-    symbols = _tape_symbols(machine, word)
     if machine.sparse:
-        table = _flat_table(machine, symbols)
-        blocks = _stamp_anchors(machine, symbols, table)
+        table = _flat_table(machine, word)
+        blocks = _stamp_anchors(machine, word, table)
         counts = _stamp_movers(machine, word, table)
         # the initial configuration sits at position 0, so its key is its state
         initial = [spec.state_index(spec.initial_state)]
         engine = _Frontier(table, initial, [1 + 0j], machine.states, blocks, counts)
     else:
-        layout = _Layout(machine, symbols)
+        layout = _Layout(machine, _tape_symbols(machine, word))
         engine = _Evolution(layout, layout.sort(initial_vector(spec, word).data))
 
     p_accept = 0.0
@@ -756,7 +793,8 @@ def run(
 
     steps = 0
     while steps < max_steps:
-        coasted = (p_accept, p_reject, residual_mass)
+        if trace:
+            coasted = (p_accept, p_reject, residual_mass)
         residual_mass, gain_accept, gain_reject, taken = engine.step(max_steps - steps)
         steps += taken
         p_accept += gain_accept

@@ -114,7 +114,8 @@ class TwoWayQfaSpec:
     makes the dense matrices on each lookup.  The simulator keeps its
     tables of the machine on the spec once it first runs it, so a changed
     machine needs a new spec; pickling or copying a spec leaves them out.
-    padded_entries names (tape symbol, source state) pairs, each at most
+    Each input symbol is one character, since a word is read one character
+    a cell, and neither end marker.  padded_entries names (tape symbol, source state) pairs, each at most
     once.
     """
 
@@ -136,6 +137,10 @@ class TwoWayQfaSpec:
             raise ValueError("duplicate state names")
         if len(set(self.input_alphabet)) != len(self.input_alphabet):
             raise ValueError("duplicate input symbols")
+        for symbol in self.input_alphabet:
+            # a word is read one character a cell, so no other symbol could sit on the tape
+            if not (isinstance(symbol, str) and len(symbol) == 1):
+                raise ValueError(f"input symbol {symbol!r} is not exactly one character")
         for marker in (LEFT_MARKER, RIGHT_MARKER):
             if marker in self.input_alphabet:
                 raise ValueError(f"input alphabet may not contain the marker {marker!r}")

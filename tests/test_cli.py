@@ -309,6 +309,16 @@ def test_machine_file_with_a_nan_entry_is_a_usage_error(runner, tmp_path):
         assert "non-finite" in result.output
 
 
+def test_machine_file_with_a_symbol_of_two_letters_is_a_usage_error(runner, tmp_path):
+    path = tmp_path / "ab.2qfa"
+    save_spec(build_m1(), path)
+    path.write_text(path.read_text().replace("\nalphabet a b\n", "\nalphabet a b ab\n"))
+    for args in (("validate",), ("run", "--word", "ab")):
+        result = runner.invoke(main, [*args, "--machine", str(path)])
+        assert result.exit_code == 2
+        assert "one character" in result.output
+
+
 @pytest.mark.parametrize(
     "padded", ["padded zz nosuchstate", "padded # q0\npadded # q0"], ids=["unknown", "repeated"]
 )

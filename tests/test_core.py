@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoqfa.core import Configuration, initial_vector, measure, run, step
+from twoqfa.core import AmplitudeVector, Configuration, initial_vector, measure, run, step
 from twoqfa.errors import AlphabetError
 from twoqfa.machines import build_m2
 
@@ -32,6 +32,16 @@ def test_initial_vector_rejects_foreign_symbol(m1):
     assert info.value.symbol == "x"
     assert info.value.position == 1
     assert "'x'" in str(info.value)
+
+
+def test_run_and_step_name_the_first_foreign_symbol(m1, m2_5):
+    """The frontier maps the word to its table rows itself, and its error keeps the position."""
+    for spec, word, position in ((m1, "abxa", 2), (m2_5, "()(x)y", 3)):
+        vector = AmplitudeVector(spec, len(word) + 2)
+        for call in (lambda: run(spec, word), lambda: step(spec, word, vector)):
+            with pytest.raises(AlphabetError) as info:
+                call()
+            assert (info.value.symbol, info.value.position) == (word[position], position)
 
 
 def test_step_moves_right_from_left_marker(m1):

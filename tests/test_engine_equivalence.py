@@ -412,7 +412,7 @@ def test_every_budget_ends_the_run_at_its_step(name, word, request):
     between = [b for b in range(1, whole.steps) if b not in events]
     assert len(between) > 0.9 * whole.steps
     for budget in range(1, whole.steps + 1):
-        cut = run(spec, word, max_steps=budget, trace=True)
+        cut = _cut_run(spec, word, budget)
         assert cut.steps == budget
         assert cut.halted is (budget == whole.steps)
         assert cut.trace == whole.trace[:budget]
@@ -500,9 +500,42 @@ def _table_reads(spec, word, **options) -> tuple[core.RunResult, int]:
 
 def _unjumped(spec, word, **options) -> core.RunResult:
     """A run with no cycle anchor and no mover in its table, so every key walks a step at a time."""
-    with mock.patch.object(core, "_stamp_anchors", lambda machine, symbols, table: {}), \
+    with mock.patch.object(core, "_stamp_anchors", lambda machine, word, table: {}), \
             mock.patch.object(core, "_stamp_movers", lambda machine, word, table: None):
         return run(spec, word, **options)
+
+
+def _cut_run(spec, word, budget) -> core.RunResult:
+    """A traced run cut at `budget`, its live keys and amplitudes checked against ``_unjumped``'s.
+
+    A jump that overshot the budget would leave a key on the wrong cell or
+    due step, which the trace alone need not show.
+    """
+    frontier, frontiers = core._Frontier, []
+
+    def kept(*args):
+        frontiers.append(frontier(*args))
+        return frontiers[-1]
+
+    with mock.patch.object(core, "_Frontier", kept):
+        cut = run(spec, word, max_steps=budget, trace=True)
+        _unjumped(spec, word, max_steps=budget)
+    jumped, walked = frontiers
+    assert list(jumped.live.items()) == list(walked.live.items()), budget
+    return cut
+
+
+def _stamped_from_least(make) -> TwoWayQfaSpec:
+    """The machine `make()` returns, its tables built with every block of `least` letters stamped.
+
+    ``_JUMP_CELLS`` keeps runs from stamping blocks too short to repay a
+    jump; with it at 0 during the build, the short blocks of the tests that
+    use this machine are stamped, and their exact read counts hold.
+    """
+    with mock.patch.object(core, "_JUMP_CELLS", 0):
+        spec = make()
+        core._machine(spec)
+    return spec
 
 
 #: one long-block word per machine; most of its budgets end inside a jump
@@ -521,6 +554,61 @@ def test_a_long_block_is_crossed_in_jumps(m2_10, m3_20):
         result, reads = _table_reads(spec, word)
         assert result.halted and reads < bound
         assert result == _unjumped(spec, word)
+
+
+def _stamped(spec, word) -> dict[int, int]:
+    """The blocks a traced run of `word` stamps, as ``_stamp_anchors`` returns them.
+
+    The run must equal ``_unjumped``, traces included.
+    """
+    with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
+        result = run(spec, word, trace=True)
+    assert result == _unjumped(spec, word, trace=True)
+    return frontier.call_args.args[4]
+
+
+def _stamping_rule(machine, blocks) -> dict[int, int]:
+    """The cells that each anchor group stamps on the word of `blocks`, (letter, length) pairs.
+
+    A group stamps a block of at least max(least, ``_JUMP_CELLS``) letters,
+    on its first cell if the group's cycles move right and else on its last.
+    """
+    stamped, lo = {}, 0
+    for letter, length in blocks:
+        hi = lo + length
+        for left, least, _ in machine.anchors[machine.symbol_index[letter]]:
+            if length >= max(least, core._JUMP_CELLS):
+                stamped[lo + 1 if left else hi] = length
+        lo = hi
+    return stamped
+
+
+@pytest.mark.parametrize("name", ["m2_10", "m3_5"])
+def test_a_block_is_stamped_from_jump_cells_letters_on(name, request):
+    """A block of ``_JUMP_CELLS`` - 1 letters is walked and one of ``_JUMP_CELLS`` is stamped.
+
+    Each letter's block stands at the left end of the word and at the
+    right, beside one letter of each other symbol; then every letter has a
+    long block.  Every anchor group of m2 and m3 has a least below
+    ``_JUMP_CELLS``, so the floor alone decides.
+    """
+    spec = request.getfixturevalue(name)
+    machine = core._machine(spec)
+    jump, letters = core._JUMP_CELLS, list(machine.symbol_index)
+    assert set(machine.anchors) == set(machine.symbol_index.values())
+    assert all(least < jump for groups in machine.anchors.values() for _, least, _ in groups)
+    for letter in letters:
+        others = [(other, 1) for other in letters if other != letter]
+        for length in (jump - 1, jump):
+            for blocks in ([(letter, length), *others], [*others, (letter, length)]):
+                word = "".join(symbol * size for symbol, size in blocks)
+                want = _stamping_rule(machine, blocks)
+                assert bool(want) is (length == jump), word
+                assert _stamped(spec, word) == want, word
+    blocks = [(letter, jump + i) for i, letter in enumerate(letters)]
+    want = _stamping_rule(machine, blocks)
+    assert len(want) == sum(len(groups) for groups in machine.anchors.values())
+    assert _stamped(spec, "".join(symbol * size for symbol, size in blocks)) == want
 
 
 def test_the_paths_of_each_n_path_stage_are_its_movers(m2_10, m3_5):
@@ -610,13 +698,13 @@ def test_every_budget_on_a_dyck_word_ends_the_run_at_its_step(name, word, reques
     assert whole.halted and reads < whole.steps / 2
     assert whole == _unjumped(spec, word, trace=True)
     for budget in range(1, whole.steps + 1):
-        cut = run(spec, word, max_steps=budget, trace=True)
+        cut = _cut_run(spec, word, budget)
         assert cut.steps == budget
         assert cut.halted is (budget == whole.steps)
         assert cut.trace == whole.trace[:budget]
 
 
-def test_a_run_table_holds_one_shared_row_per_cell(m3_5):
+def test_a_run_table_holds_one_shared_row_per_cell():
     """The table of a run is one row a tape cell, not S entries copied for each cell.
 
     Every input cell without an anchor holds its symbol's row of the
@@ -625,9 +713,9 @@ def test_a_run_table_holds_one_shared_row_per_cell(m3_5):
     that go right, or left, put in, and only the two marker rows are copies
     made per run, in which the entries that move a head off the tape are
     rebuilt.  The first word has a stamped first block, the second a
-    stamped last block.
+    stamped last block, on m3 N=5 built to stamp blocks of any length.
     """
-    spec = m3_5
+    spec = _stamped_from_least(partial(build_m3, 5))
     machine = core._machine(spec)
     movers = core._movers(machine.steps, [spec.head_fn[s] for s in spec.states])
     for word, first, last in (("a" * 21 + "b" * 20 + "c" * 22 + "bca", True, False),
@@ -699,7 +787,7 @@ def test_every_budget_on_a_long_block_ends_the_run_at_its_step(name, word, reque
     assert whole.halted and reads < whole.steps / 4
     assert _close(whole.trace, reference_run(spec, word, trace=True).trace)
     for budget in range(1, whole.steps + 1):
-        cut = run(spec, word, max_steps=budget, trace=True)
+        cut = _cut_run(spec, word, budget)
         assert cut.steps == budget
         assert cut.halted is (budget == whole.steps)
         assert cut.trace == whole.trace[:budget]
@@ -770,6 +858,37 @@ def _assert_paced_run(spec, word, reads):
         assert cut.steps == budget and cut.trace == whole.trace[:budget]
 
 
+def _one_mover(alphabet: tuple[str, ...]) -> TwoWayQfaSpec:
+    """s0 moves right and keeps its state on every input symbol, and swaps with acc on $."""
+    keep = np.eye(4)
+    return TwoWayQfaSpec(
+        states=("s0", "s1", "s2", "acc"),
+        input_alphabet=alphabet,
+        initial_state="s0",
+        accept_states=frozenset({"acc"}),
+        reject_states=frozenset(),
+        symbol_unitaries={"#": keep, **{s: keep for s in alphabet}, "$": keep[:, [3, 1, 2, 0]]},
+        head_fn={"s0": 1, "s1": 0, "s2": 0, "acc": 0},
+    )
+
+
+def test_an_input_symbol_is_one_letter():
+    """A word is read one character a cell, so a symbol of two letters is refused.
+
+    Were "ab" allowed beside "a" and "b", counting letters would find it in
+    the word, where no cell holds it, and the mover s0 would cross ab in 5
+    steps and abab in 8 instead of 4 and 6.
+    """
+    spec = _one_mover(("a", "b"))
+    assert core._movers(core._machine(spec).steps, [1, 0, 0, 0]) == {0: (1, 1)}
+    for word, steps in (("ab", 4), ("abab", 6)):
+        result = run(spec, word, trace=True)
+        assert (result.steps, result.halted, result.p_accept) == (steps, True, 1.0)
+        assert result == reference_run(spec, word, trace=True)
+    with pytest.raises(ValueError, match="'ab' is not exactly one character"):
+        _one_mover(("a", "b", "ab"))
+
+
 _PACED_WORDS = [
     "a", "ab", "aab", "abba", "aaaab", "baaaab", "aaaabbbbaaaa", "a" * 9 + "b" + "a" * 2
 ]
@@ -801,12 +920,13 @@ def test_a_mover_crosses_the_word_in_one_read(word):
 def test_jumps_end_on_block_edges(word):
     """Blocks of 1, 2 and p + 1 cells, each jump ending on the first cell past its block.
 
-    A block is stamped when some cycle runs two periods in it: an a block of
-    2 cells or more, a b block of 4 or more.  A jump on an a block ends on
-    the first cell past it; one on a b block of odd length ends on its last
-    cell, which the walk then crosses in three reads.
+    Built to stamp blocks of any length, the machine stamps a block when
+    some cycle runs two periods in it: an a block of 2 cells or more, a b
+    block of 4 or more.  A jump on an a block ends on the first cell past
+    it; one on a b block of odd length ends on its last cell, which the
+    walk then crosses in three reads.
     """
-    spec = _handing_over()
+    spec = _stamped_from_least(_handing_over)
     machine = core._machine(spec)
     assert core._movers(machine.steps, [1, 0, 0, 0, 1, 0, 0, 0]) == {}
     assert machine.crossing == ({}, {})
@@ -875,10 +995,13 @@ def test_random_relabel_machines_jump_as_they_walk(n, seed, blocks, max_steps):
     A cycle that reads a cell behind its start is anchored only on the
     states from which it never does.  Some states come back to themselves
     one cell on after each letter, so they are movers and cross the word.
+    The blocks are shorter than ``_JUMP_CELLS``, so the machine also runs
+    built to stamp blocks of any length.
     """
     rng = np.random.default_rng(seed)
     states = tuple(f"s{i}" for i in range(n))
-    spec = TwoWayQfaSpec(
+    machine = partial(
+        TwoWayQfaSpec,
         states=states,
         input_alphabet=("a", "b"),
         initial_state="s0",
@@ -888,8 +1011,9 @@ def test_random_relabel_machines_jump_as_they_walk(n, seed, blocks, max_steps):
         head_fn=dict(zip(states, rng.choice((-1, 0, 1), n).tolist())),
     )
     word = "".join(symbol * count for symbol, count in blocks)
-    result = run(spec, word, max_steps=max_steps, trace=True)
-    assert result == _unjumped(spec, word, max_steps=max_steps, trace=True)
+    for spec in (machine(), _stamped_from_least(machine)):
+        result = run(spec, word, max_steps=max_steps, trace=True)
+        assert result == _unjumped(spec, word, max_steps=max_steps, trace=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1069,3 +1193,25 @@ def test_a_dense_run_multiplies_only_the_cells_it_can_reach():
     assert columns == [min(2 * t - 1, 88) for t in range(1, result.steps + 1)]
     _, columns = _multiplied_columns(lambda: step(spec, word, initial_vector(spec, word)), 4)
     assert columns == [88]
+
+
+def test_a_dense_run_reads_no_products_it_did_not_write():
+    """Uninitialised memory leaves a dense run as it is.
+
+    A run multiplies only the cells within reach and gathers the products
+    of the rest as zeros, so its products buffer must start as zeros, not
+    as whatever ``np.empty`` hands out.  Here every array that ``np.empty``
+    makes during the run starts full of NaN (or -1 for ints).
+    """
+    spec, word, _ = _LONG_TAPE_HAAR
+    clean = run(spec, word, trace=True)
+    empty = np.empty
+
+    def dirty(*args, **options):
+        out = empty(*args, **options)
+        out.fill(np.nan if out.dtype.kind in "fc" else -1)
+        return out
+
+    with mock.patch.object(core.np, "empty", dirty):
+        assert run(spec, word, trace=True) == clean
+        assert np.isnan(np.empty(2)).all()

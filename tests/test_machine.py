@@ -222,6 +222,8 @@ def test_spec_constructor_rejects_malformed_machines(m1):
         {"head_fn": {"u0": 0}},
         {"head_fn": {"u0": 2, "u1": 0}},
         {"input_alphabet": ("#",)},
+        {"input_alphabet": ("x", "xy")},
+        {"input_alphabet": ("",)},
         {"n_paths": 0},
         {"symbol_unitaries": {s: np.eye(3, dtype=complex) for s in ("#", "x", "$")}},
         {"symbol_unitaries": {"#": np.eye(2, dtype=complex)}},

@@ -93,6 +93,7 @@ def _minimal_text() -> str:
         (lambda t: t.replace("\naccept ", "\naccept q1\naccept "), "twice"),
         (lambda t: t.replace("\nreject ", "\nreject q1\nreject "), "twice"),
         (lambda t: t.replace("\nalphabet a b\n", "\nalphabet a b\nalphabet a b\n"), "twice"),
+        (lambda t: t.replace("\nalphabet a b\n", "\nalphabet a b ab\n"), "one character"),
         (lambda t: t.replace("\nhead q0 +1\n", "\nhead q0 +1\nhead q0 -1\n"), "twice"),
         (lambda t: t.replace("\nrow q0 q0 1.0 0.0\n", "\nrow q0 q0 0.0 0.0\nrow q0 q0 1.0 0.0\n", 1), "twice"),
     ],
