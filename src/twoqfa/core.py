@@ -80,6 +80,15 @@ DEFAULT_HALT_THRESHOLD = 1e-12
 #: multiplier in the default step budget 64 * n_paths * (n + 2)
 MAX_STEPS_FACTOR = 64
 
+#: the most cells, states times tape cells, of an amplitude array.  A dense
+#: run peaks at about 60 bytes a cell (tracemalloc, 16 and 48 states on
+#: 2,000 to 100,000 cells) and a dense ``step`` at about 73 with its
+#: vector, so about 250 and 300 MB here; a full-reach step of 48 states on
+#: 87,381 cells takes 0.11 s, and a run needs some L steps, hours at the
+#: cap.  The frontier keeps no such array, so ``run`` checks this on the
+#: dense engine alone, and ``step`` and ``initial_vector`` on both.
+MAX_DENSE_CELLS = 2 ** 22
+
 # The fewest letters of a block on which a run stamps cycle anchors.  A
 # deterministic sweep walks a block at one table read a letter (about
 # 0.1 us), while a stamp and its jump cost about 2 us a block.  Run with
@@ -89,6 +98,12 @@ MAX_STEPS_FACTOR = 64
 # at 40 and -7 and -14 us at 64 (median paired differences): the jump
 # breaks even with the walk at 32 letters.
 _JUMP_CELLS = 32
+
+# How far a frontier's running residual must lie above the halting
+# threshold, and may lie above 1, to be kept without an exact sum
+# (``_Frontier``).  Rounding moves it by a few units of 1e-16 a full step,
+# so a run would need about 10**9 full steps to drift as far.
+_RESUM_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, order=True)
@@ -379,8 +394,19 @@ def _alphabet_error(machine: _Machine, word: str) -> AlphabetError:
     return AlphabetError(word[position], position)
 
 
+def _check_cells(spec: TwoWayQfaSpec, word: str) -> None:
+    """Refuse an amplitude array of `spec` on the tape of `word` above ``MAX_DENSE_CELLS``."""
+    states, length = len(spec.states), len(word) + 2
+    if states * length > MAX_DENSE_CELLS:
+        raise ValueError(
+            f"{states} states on a tape of {length} cells make {states * length:,} amplitudes,"
+            f" more than the {MAX_DENSE_CELLS:,} an array may hold"
+        )
+
+
 def initial_vector(spec: TwoWayQfaSpec, word: str) -> AmplitudeVector:
     """Unit mass on (initial state, position 0) for the tape of `word`."""
+    _check_cells(spec, word)
     _tape_symbols(_machine(spec), word)
     vec = AmplitudeVector(spec, len(word) + 2)
     vec.data[spec.state_index(spec.initial_state), 0] = 1.0
@@ -575,8 +601,21 @@ class _Frontier:
     only the keys due then step (``advance``), and the steps before it
     repeat the last residual with no halting mass.  A full step appends the
     keys it reaches to live and to their buckets, so live keeps every other
-    key where it was, and the residual sums live in an order that no budget
-    changes.  A frontier starts with its keys, all at step 0, due at step 0.
+    key where it was.  A frontier starts with its keys, all at step 0, due
+    at step 0.
+
+    residual is a running value: ``advance`` subtracts the squared moduli
+    of the keys it takes and a full step adds those of the keys it keeps,
+    so a step costs its due keys, not the live set.  It sums live exactly,
+    in insertion order, whenever the running value falls below the halting
+    threshold plus ``_RESUM_MARGIN`` (its floor), rises above 1 plus that
+    margin (its ceiling), is not a number, or comes from a value above the
+    ceiling, whose rounding the margin need not cover.  Below the ceiling
+    the running value drifts from the exact sum by a few units of 1e-16 a
+    full step, far less than the margin, so every halting decision and the
+    residual of every halted run come from the exact sum.  None of this
+    depends on the budget: a run cut at step b has the first b residuals
+    of the whole run.
 
     In the table of a run, the entry cell of a long block may hold a row of
     ``CycleAnchor`` entries (``_stamp_anchors``); blocks maps each such cell
@@ -586,13 +625,15 @@ class _Frontier:
     hold ``Mover`` entries (``_stamp_movers``), and counts holds the word's
     count of each input symbol.  A walk that meets a mover there moves it
     to the opposite marker, L - 2 cells on, in the sum of its waits times
-    those counts, if that many steps are left in the budget, and else takes
-    its relabel.  A walk never stops on an anchor or a mover, so
+    those counts (its span, which spans keeps by key from the first walk
+    that meets it on), if that many steps are left in the budget, and else
+    takes its relabel.  A walk never stops on an anchor or a mover, so
     ``advance`` never reads one.
     """
 
     def __init__(self, table: list, keys: list[int], amplitudes: list[complex], states: int,
-                 blocks: dict[int, int] | None = None, counts: list[int] | None = None):
+                 blocks: dict[int, int] | None = None, counts: list[int] | None = None,
+                 halt_threshold: float = DEFAULT_HALT_THRESHOLD):
         self.table = table
         self.states = states
         self.size = len(table) * states
@@ -602,28 +643,38 @@ class _Frontier:
         self.now = 0
         self.blocks = blocks
         self.counts = counts
+        self.spans = {}
+        self.residual = _mass(amplitudes)
+        self.floor = halt_threshold + _RESUM_MARGIN
+        self.ceiling = 1 + _RESUM_MARGIN
 
     def advance(self, due: int = 0) -> tuple[dict[int, complex], dict[int, complex], dict[int, complex]]:
         """The products of the keys due at step `due`, summed per target key, not yet measured.
 
-        Takes the keys out of live and their bucket, and returns the running,
-        accepting and rejecting sums, keyed at step due + 1, each in the
-        order in which its keys were first reached.
+        Takes the keys out of live and their bucket, and their mass off the
+        running residual, and returns the running, accepting and rejecting
+        sums, keyed at step due + 1, each in the order in which its keys were
+        first reached.
         """
         table, n, size = self.table, self.states, self.size
         live = self.live
         base = due * size
         sums = running, _, _ = {}, {}, {}
+        gone = 0.0
         for key in self.buckets.pop(due):
             amplitude = live.pop(key)
+            gone += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
             cell, state = divmod(key - base, n)
-            if (entry := table[cell][state]).__class__ is int:
-                running[key + size + entry] = amplitude
+            entry = table[cell][state]
+            key += size
+            if entry.__class__ is int:
+                running[key + entry] = amplitude
             else:
                 for delta, weight, role in entry:
                     target = sums[role]
-                    k = key + size + delta
+                    k = key + delta
                     target[k] = target.get(k, 0j) + weight * amplitude
+        self.residual -= gone
         return sums
 
     def step(self, limit: int) -> tuple[float, float, float, int]:
@@ -637,13 +688,15 @@ class _Frontier:
         due = dues[0]
         if due >= end:
             self.now = end
-            return _mass(live.values()), 0.0, 0.0, limit
+            return self.residual, 0.0, 0.0, limit
         heappop(dues)
+        previous = self.residual
         running, accept, reject = self.advance(due)
         taken, self.now = due + 1 - self.now, due + 1
-        blocks, counts = self.blocks, self.counts
+        blocks, counts, spans = self.blocks, self.counts, self.spans
         # the keys a mover crosses the L - 2 input cells by
         crossing = size - 2 * n
+        kept = 0.0
         for key, amplitude in running.items():
             if not amplitude:  # cancelled exactly: a zero entry, as in the array
                 continue
@@ -659,9 +712,11 @@ class _Frontier:
                     t = end
                     break
                 if entry.__class__ is Mover:
-                    # the whole word within the budget, else one relabel
+                    # the whole word within the budget, else one relabel;
+                    # the mover on this key has one span for the whole run
                     delta, move, waits = entry
-                    span = sum(map(mul, waits, counts))
+                    if (span := spans.get(key)) is None:
+                        span = spans[key] = sum(map(mul, waits, counts))
                     if span <= end - t:
                         key += move * crossing
                         t += span
@@ -682,14 +737,25 @@ class _Frontier:
                     t += 1
             key += t * size
             live[key] = amplitude
+            kept += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
             if (bucket := buckets.get(t)) is None:
                 buckets[t] = [key]
                 heappush(dues, t)
             else:
                 bucket.append(key)
-        # most full steps halt nothing, and the sum of nothing is 0.0
-        return (_mass(live.values()), _mass(accept.values()) if accept else 0.0,
-                _mass(reject.values()) if reject else 0.0, taken)
+        residual = self.residual = self.residual + kept
+        # also when it is not a number, or came from a value above the
+        # ceiling, whose rounding the margin need not cover
+        if not (self.floor <= residual <= self.ceiling and previous <= self.ceiling):
+            residual = self.residual = _mass(live.values())
+        gain_accept = gain_reject = 0.0
+        if accept:
+            for amplitude in accept.values():
+                gain_accept += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+        if reject:
+            for amplitude in reject.values():
+                gain_reject += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+        return residual, gain_accept, gain_reject, taken
 
 
 def _mass(amplitudes) -> float:
@@ -705,11 +771,14 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
     """Apply one evolution step of `spec` on the tape of `word`, on the engine of ``run``.
 
     The engine's index tables for the last word are kept, so a loop that
-    steps one word builds them once.
+    steps one word builds them once.  A tape on which the vector would hold
+    more than ``MAX_DENSE_CELLS`` amplitudes raises ValueError, as in
+    ``initial_vector``.
     """
     n, length = vector.data.shape
     if (n, length) != (len(spec.states), len(word) + 2):
         raise ValueError("vector shape does not match the machine and word")
+    _check_cells(spec, word)
     machine = _machine(spec)
     if machine.step_word != word:
         machine.step_tables = (_flat_table(machine, word) if machine.sparse
@@ -766,6 +835,9 @@ def run(
     Every step of a run takes the engine the machine's tables fixed, as
     ``step`` does: the frontier of live configurations when
     its matrices are more than half zeros, the whole-array matmul otherwise.
+    The matmul's arrays hold states times tape cells amplitudes, and a run
+    that would need more than ``MAX_DENSE_CELLS`` raises ValueError before
+    it allocates any.
     """
     if max_steps is None:
         max_steps = MAX_STEPS_FACTOR * spec.n_paths * (len(word) + 2)
@@ -780,8 +852,10 @@ def run(
         counts = _stamp_movers(machine, word, table)
         # the initial configuration sits at position 0, so its key is its state
         initial = [spec.state_index(spec.initial_state)]
-        engine = _Frontier(table, initial, [1 + 0j], machine.states, blocks, counts)
+        engine = _Frontier(table, initial, [1 + 0j], machine.states, blocks, counts,
+                           halt_threshold)
     else:
+        _check_cells(spec, word)
         layout = _Layout(machine, _tape_symbols(machine, word))
         engine = _Evolution(layout, layout.sort(initial_vector(spec, word).data))
 

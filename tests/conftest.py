@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from twoqfa.machines import build_m1, build_m2, build_m3
+from twoqfa.machine import TwoWayQfaSpec
+from twoqfa.machines import build_m1, build_m2, build_m3, qft_matrix
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +69,17 @@ def m2_100():
 @pytest.fixture(scope="session")
 def m3_100():
     return build_m3(100)
+
+
+@pytest.fixture(scope="session")
+def fourier5():
+    """Five states whose every matrix is the dense 5-point Fourier matrix, so it runs on the matmul."""
+    return TwoWayQfaSpec(
+        states=("s0", "s1", "s2", "acc", "rej"),
+        input_alphabet=("a",),
+        initial_state="s0",
+        accept_states=frozenset({"acc"}),
+        reject_states=frozenset({"rej"}),
+        symbol_unitaries={s: qft_matrix(5) for s in ("#", "a", "$")},
+        head_fn={"s0": 1, "s1": -1, "s2": 0, "acc": 0, "rej": 0},
+    )

@@ -359,3 +359,13 @@ def test_the_package_and_its_cli_load_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_run_above_the_cell_cap_is_a_usage_error(runner, tmp_path, fourier5):
+    """A dense machine file on a tape past ``MAX_DENSE_CELLS`` exits 2, before any array exists."""
+    path = tmp_path / "fourier.2qfa"
+    save_spec(fourier5, path)
+    word = "a" * (twoqfa.core.MAX_DENSE_CELLS // 5)
+    result = runner.invoke(main, ["run", "--machine", str(path), "--word", word])
+    assert result.exit_code == 2
+    assert "an array may hold" in result.output

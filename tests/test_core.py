@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoqfa import core
 from twoqfa.core import AmplitudeVector, Configuration, initial_vector, measure, run, step
 from twoqfa.errors import AlphabetError
 from twoqfa.machines import build_m2
@@ -164,6 +166,64 @@ def test_run_guards_step_budget_and_threshold(m1):
 
 def test_trace_is_off_by_default(m1):
     assert run(m1, "ab").trace is None
+
+
+class _Allocated(Exception):
+    """Raised in place of an array: the call got past the cap."""
+
+
+def _no_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Allocated
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+
+
+def test_an_array_above_the_cell_cap_is_refused_before_it_is_allocated(fourier5, monkeypatch):
+    """Five states on a tape of cap / 5 cells pass, and one cell more is cap + 1 cells.
+
+    Above the cap, ``run``, ``step`` and ``initial_vector`` raise ValueError
+    before any array of the tape's size exists: np.zeros and np.empty raise,
+    and the traced peak stays below 1 MB, where one such array takes 67 MB.
+    At the cap, each call gets as far as its first array.
+    """
+    spec = fourier5
+    assert not core._machine(spec).sparse
+    cap = core.MAX_DENSE_CELLS
+    assert (cap + 1) % 5 == 0
+    over, within = "a" * ((cap + 1) // 5 - 2), "a" * (cap // 5 - 2)
+    # a vector of the right shape that holds one amplitude in memory
+    vectors = {word: AmplitudeVector(spec, len(word) + 2,
+                                     np.broadcast_to(np.zeros((1, 1), complex), (5, len(word) + 2)))
+               for word in (over, within)}
+    calls = {
+        "run": lambda word: run(spec, word),
+        "step": lambda word: step(spec, word, vectors[word]),
+        "initial_vector": lambda word: initial_vector(spec, word),
+    }
+    _no_arrays(monkeypatch)
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{cap + 1:,} amplitudes, more than the {cap:,}"):
+                call(over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, name
+        with pytest.raises(_Allocated):
+            call(within)
+
+
+def test_a_frontier_run_is_not_capped(m2_10):
+    """The frontier keeps no amplitude array, so a sparse run on more cells than the cap runs."""
+    word = "()" * (core.MAX_DENSE_CELLS // len(m2_10.states) // 2)
+    assert len(m2_10.states) * (len(word) + 2) > core.MAX_DENSE_CELLS
+    result = run(m2_10, word)
+    assert result.halted and result.p_accept > 1 - 1e-12
+    with pytest.raises(ValueError, match="an array may hold"):
+        initial_vector(m2_10, word)
 
 
 def _machine_words():

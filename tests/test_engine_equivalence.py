@@ -429,9 +429,95 @@ def test_a_halt_threshold_is_crossed_at_a_full_step(name, word, request):
     assert at in events and at < whole.steps
     result = run(spec, word, halt_threshold=threshold, trace=True)
     assert result.halted and result.steps == at
-    assert result.trace == whole.trace[:at]
-    assert (result.p_accept, result.p_reject, result.p_residual) == whole.trace[at - 1]
+    _assert_halted_prefix(result, whole)
     assert result.p_residual < threshold <= whole.trace[at - 2][2]
+
+
+def _assert_halted_prefix(result, whole):
+    """`result`, halted early, has the rows of the whole run up to its halting step.
+
+    The frontier keeps a running residual and sums it exactly when it falls
+    near the threshold, so the halting row's residual is the exact sum and
+    the whole run's may differ from it in its last bits.
+    """
+    at = result.steps
+    assert result.trace[:at - 1] == whole.trace[:at - 1]
+    assert result.trace[-1][:2] == whole.trace[at - 1][:2]
+    assert abs(result.trace[-1][2] - whole.trace[at - 1][2]) <= 1e-12
+    assert (result.p_accept, result.p_reject, result.p_residual) == result.trace[-1]
+
+
+def _always_resummed(spec, word, **options) -> core.RunResult:
+    """A run whose frontier sums its live keys exactly at every full step."""
+    with mock.patch.object(core, "_RESUM_MARGIN", math.inf):
+        return run(spec, word, **options)
+
+
+@pytest.mark.parametrize("name, word", [*_UNEQUAL, ("m3_20", "a" * 20 + "b" * 22 + "c" * 21)])
+def test_the_running_residual_decides_no_halt(name, word, request):
+    """A run halts where the exact residual says, whatever the threshold.
+
+    The thresholds are every residual of the whole run's trace, with and
+    without the running value, and both neighbours of each.  Against the
+    frontier that sums live at every full step, steps, halting and the
+    halting sums are equal, and a halted run's residual is the same exact
+    sum; the running value drifts from it by rounding alone.
+    """
+    spec = request.getfixturevalue(name)
+    whole = run(spec, word, trace=True)
+    exact = _always_resummed(spec, word, trace=True)
+    assert whole.halted and (whole.steps, whole.p_residual) == (exact.steps, exact.p_residual)
+    assert _close(whole.trace, exact.trace)
+    residuals = {row[2] for row in whole.trace + exact.trace}
+    thresholds = {x for r in residuals for x in (math.nextafter(r, 0), r, math.nextafter(r, 1))}
+    thresholds = sorted(x for x in thresholds if 0 < x < 1)
+    assert len(thresholds) > 30
+    for threshold in thresholds:
+        got = run(spec, word, halt_threshold=threshold)
+        want = _always_resummed(spec, word, halt_threshold=threshold)
+        assert (got.steps, got.halted, got.p_accept, got.p_reject) == \
+            (want.steps, want.halted, want.p_accept, want.p_reject), threshold
+        if want.halted:
+            assert got.p_residual == want.p_residual, threshold
+        else:
+            assert abs(got.p_residual - want.p_residual) <= TOLERANCE, threshold
+
+
+def _amplifying(big: float) -> TwoWayQfaSpec:
+    """Not unitary: s0 splits into x and z, of weights big and 1.1 big, and y1, of weight 0.55.
+
+    x and z reject at step 2.  y1 relabels to y2, which rejects at step 3,
+    so the residual falls from about 2.2 big² to 0.3 and then to 0.
+    """
+    states = ("s0", "x", "y1", "y2", "z", "r1", "r2", "r3")
+    index = {state: i for i, state in enumerate(states)}
+    matrix = np.zeros((8, 8), dtype=complex)
+    for source, target, weight in (("s0", "x", big), ("s0", "y1", 0.55), ("s0", "z", 1.1 * big),
+                                   ("x", "r1", 1), ("y1", "y2", 1), ("y2", "r3", 1), ("z", "r2", 1),
+                                   ("r1", "r1", 1), ("r2", "r2", 1), ("r3", "r3", 1)):
+        matrix[index[target], index[source]] = weight
+    return TwoWayQfaSpec(
+        states=states,
+        input_alphabet=("a",),
+        initial_state="s0",
+        accept_states=frozenset(),
+        reject_states=frozenset({"r1", "r2", "r3"}),
+        symbol_unitaries={s: matrix for s in ("#", "a", "$")},
+        head_fn={state: 0 for state in states},
+    )
+
+
+@pytest.mark.parametrize("big", [1e5 * (1 + k / 197) for k in range(8)])
+def test_a_residual_that_comes_from_above_one_is_summed_exactly(big):
+    """The rounding of a residual of 2e10 is about 4e-6, more than the margin covers.
+
+    Run on from there, the residual of step 2 would keep it, and that of
+    step 3 would read it where the exact sum reads 0 and no key is live.
+    """
+    spec = _amplifying(big)
+    got = run(spec, "", max_steps=10, trace=True)
+    assert (got.steps, got.halted, got.p_residual) == (3, True, 0.0)
+    assert got == _always_resummed(spec, "", max_steps=10, trace=True)
 
 
 def _cycling(moves: list[int], matrix: np.ndarray) -> TwoWayQfaSpec:
@@ -722,7 +808,7 @@ def test_a_run_table_holds_one_shared_row_per_cell():
                               ("c" + "a" * 5 + "b" * 7 + "c" * 9, False, True)):
         with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
             run(spec, word)
-        table, _, _, _, blocks, counts = frontier.call_args.args
+        table, _, _, _, blocks, counts, _ = frontier.call_args.args
         symbols = core._tape_symbols(machine, word)
         assert counts == [word.count(letter) for letter in "abc"]
         assert len(table) == len(word) + 2
@@ -953,7 +1039,7 @@ def test_a_halt_threshold_of_one_half_on_a_long_block(name, word, request):
     at = next(b for b, row in enumerate(whole.trace, 1) if row[2] < 0.5)
     result = run(spec, word, halt_threshold=0.5, trace=True)
     assert result.halted and result.steps == at < whole.steps
-    assert result.trace == whole.trace[:at]
+    _assert_halted_prefix(result, whole)
     assert result == _unjumped(spec, word, halt_threshold=0.5, trace=True)
 
 
