@@ -172,12 +172,8 @@ class _Allocated(Exception):
     """Raised in place of an array: the call got past the cap."""
 
 
-def _no_arrays(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise _Allocated
-
-    monkeypatch.setattr(np, "zeros", refuse)
-    monkeypatch.setattr(np, "empty", refuse)
+def _refuse(*args, **kwargs):
+    raise _Allocated
 
 
 def test_an_array_above_the_cell_cap_is_refused_before_it_is_allocated(fourier5, monkeypatch):
@@ -188,21 +184,21 @@ def test_an_array_above_the_cell_cap_is_refused_before_it_is_allocated(fourier5,
     and the traced peak stays below 1 MB, where one such array takes 67 MB.
     At the cap, each call gets as far as its first array.
     """
-    spec = fourier5
-    assert not core._machine(spec).sparse
+    assert not core._machine(fourier5).sparse
     cap = core.MAX_DENSE_CELLS
     assert (cap + 1) % 5 == 0
     over, within = "a" * ((cap + 1) // 5 - 2), "a" * (cap // 5 - 2)
     # a vector of the right shape that holds one amplitude in memory
-    vectors = {word: AmplitudeVector(spec, len(word) + 2,
+    vectors = {word: AmplitudeVector(fourier5, len(word) + 2,
                                      np.broadcast_to(np.zeros((1, 1), complex), (5, len(word) + 2)))
                for word in (over, within)}
     calls = {
-        "run": lambda word: run(spec, word),
-        "step": lambda word: step(spec, word, vectors[word]),
-        "initial_vector": lambda word: initial_vector(spec, word),
+        "run": lambda word: run(fourier5, word),
+        "step": lambda word: step(fourier5, word, vectors[word]),
+        "initial_vector": lambda word: initial_vector(fourier5, word),
     }
-    _no_arrays(monkeypatch)
+    monkeypatch.setattr(np, "zeros", _refuse)
+    monkeypatch.setattr(np, "empty", _refuse)
     for name, call in calls.items():
         tracemalloc.start()
         try:
