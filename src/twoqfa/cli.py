@@ -9,7 +9,9 @@ parenthesis alphabet the aliases "o" and "c" are accepted to ease shell
 quoting.
 
 Exit status: 0 on success, 1 when validation fails, 2 on usage errors
-(including bad words, malformed machine files and malformed recipes).
+(including bad words, malformed machine files and malformed recipes) and
+when ``run`` or ``sweep`` runs out of memory, with a one-line message that
+names the machine's states and the tape cells.
 Structured output is one JSON record per line with a fixed key order, so
 parsing a record and re-emitting it is byte-identical.  A float that is not
 finite (a probability or deviation overflowed by a machine far from
@@ -109,6 +111,13 @@ def _emit_csv(header, rows) -> None:
     click.echo(buffer.getvalue(), nl=False)
 
 
+def _out_of_memory(spec: TwoWayQfaSpec, cells: str) -> click.ClickException:
+    """The exit-2 error for a run of `spec` on `cells` that ran out of memory."""
+    error = click.ClickException(f"out of memory: {len(spec.states)} states on {cells}")
+    error.exit_code = 2
+    return error
+
+
 def _read_recipe(path: str) -> tuple[Recipe, str]:
     """The recipe in the file at `path` and its transcribed word."""
     try:
@@ -204,6 +213,8 @@ def run_cmd(machine, n_paths, word, recipe_path, fmt, max_steps, halt_threshold,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    except MemoryError:
+        raise _out_of_memory(spec, f"a tape of {len(word) + 2} cells") from None
 
     record = _run_record(spec, word, result)
     sig = signature(recipe.system, result) if recipe is not None else None
@@ -248,6 +259,8 @@ def sweep_cmd(machine, n_paths, lang, max_len, fmt) -> None:
         report = sweep_compare(spec, language, max_len)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    except MemoryError:
+        raise _out_of_memory(spec, f"tapes of up to {max_len + 2} cells") from None
     if fmt == "structured":
         _emit_json(report.to_json_obj())
     elif fmt == "csv":

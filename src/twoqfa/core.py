@@ -29,18 +29,22 @@ target, so relabels never meet and move an amplitude without a multiply.
 Any other column is a tuple of (key delta, amplitude, halting role of the
 target), in target order.  A run's table (``_flat_table``) has one row a
 tape cell, its letter's entries, shared by every cell of that letter and
-mapped from the word in one pass; only the marker rows are copied, to
-shift by the tape's L * S keys the deltas that leave the tape, which the
-machine lists in wrapping.  Keys on relabel chains walk them on their own
-clocks, and a full step takes only the keys due at it.  Inside a block of
-one input symbol most chains run into a cycle of relabels that moves the
-head a cell or more a period; the machine finds these once
-(``_cycle_anchors``), and a run stamps them on the cells at which they
-enter blocks of at least ``_JUMP_CELLS`` letters (``_stamp_anchors``),
-which one pattern per machine finds in the word.  A walk that meets one
-skips every whole period inside the block and the budget at once, so a
-walk costs a few reads per long block, not one per step; a shorter block
-is walked, since there a jump costs more than the reads it saves.
+mapped from the word in one pass.  The two marker rows depend on the
+tape's length alone: they shift by its L * S keys the deltas that leave
+the tape, which the machine lists in wrapping.  So the machine builds
+them once per length and keeps those of the last ``_MARKER_LENGTHS``
+lengths, as tuples that every table of that length shares.  Keys on
+relabel chains walk them on their own clocks, and a full step takes only
+the keys due at it.  Inside a block of one input symbol most chains run
+into a cycle of relabels that moves the head a cell or more a period;
+the machine finds these once (``_cycle_anchors``), and a run stamps them
+on the cells at which they enter blocks of at least ``_JUMP_CELLS``
+letters (``_stamp_anchors``), which one pattern per machine finds in the
+word, scanned only when some letter occurs often enough to fill such a
+block.  A walk that meets one skips every whole period inside the block
+and the budget at once, so a walk costs a few reads per long block, not
+one per step; a shorter block is walked, since there a jump costs more
+than the reads it saves.
 A mover (``_movers``) waits a fixed number of steps on each letter and
 moves on in its own state, as each path of an N-path stage does, so the
 steps it takes to cross the word are a sum over the word's letter counts;
@@ -104,6 +108,14 @@ _JUMP_CELLS = 32
 # (``_Frontier``).  Rounding moves it by a few units of 1e-16 a full step,
 # so a run would need about 10**9 full steps to drift as far.
 _RESUM_MARGIN = 1e-6
+
+# How many tape lengths a machine keeps the marker rows of (``_marker_rows``),
+# the oldest dropped first.  A long_words pass cycles through 4 lengths on
+# m2 and 8 on m3, and a first-in first-out cache smaller than a cycle would
+# miss on every run, so this is twice the larger; a sweep uses one length at
+# a time.  Two rows of S references cost about 2 * 8 * 15,508 B = 248 KB a
+# length for m3 N=100, so about 4 MB when full.
+_MARKER_LENGTHS = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -301,7 +313,9 @@ class _Machine:
     the tape, and a 1 for each that does), anchors (the ``_cycle_anchors``
     of each input symbol that has any), long_blocks (a pattern that finds
     the blocks of a word that ``_stamp_anchors`` stamps, or None for a
-    machine with no anchors) and crossing
+    machine with no anchors), block_floor (the fewest letters such a block
+    has, or infinity when there is no pattern), markers (``_marker_rows``
+    by tape length) and crossing
     (per direction, right then left, the copy of each input symbol's row
     and anchor group row that can sit on the first input cell that way,
     with the ``Mover`` of each mover that moves that way); the dense engine
@@ -354,6 +368,8 @@ class _Machine:
         self.long_blocks = re.compile("|".join(
             f"{re.escape(letter)}{{{cells},}}" for letter, cells in fewest.items()
         )) if fewest else None
+        self.block_floor = min(fewest.values(), default=math.inf)
+        self.markers = {}
         # per direction, keyed by the id of each row that can sit on the first
         # input cell that way, the row with that way's movers put in; the
         # machine keeps both rows, so no id is reused
@@ -467,20 +483,30 @@ def _flat_table(machine: _Machine, word: str) -> list:
 
     One row a cell: key position * S + state reads entry key % S of row
     key // S.  An input cell holds its letter's prebuilt row itself, shared
-    with every other cell of that letter and never written.  Only the end
-    markers can move a head off the tape, so only their two rows are copied,
-    and their wrapping entries rebuilt with the deltas that leave the tape
-    shifted by the tape's L * S keys.
+    with every other cell of that letter and never written.  The two marker
+    cells hold the machine's ``_marker_rows`` for the tape's length, shared
+    with every table of that length.
     """
-    steps = machine.steps
+    left, right = machine.markers.get(len(word) + 2) or _marker_rows(machine, len(word) + 2)
     try:
-        table = [steps[0], *map(machine.letter_rows.__getitem__, word), steps[-1]]
+        return [left, *map(machine.letter_rows.__getitem__, word), right]
     except KeyError:
         raise _alphabet_error(machine, word) from None
-    shift = len(table) * machine.states
-    left, right = machine.wrapping
-    for cell, sign, wrapping in ((0, 1, left), (-1, -1, right)):
-        row = table[cell] = list(table[cell])
+
+
+def _marker_rows(machine: _Machine, length: int) -> tuple[tuple, tuple]:
+    """The left and right marker rows of a tape of `length` cells, kept on the machine.
+
+    Only the end markers can move a head off the tape, so only their rows
+    depend on its length: each wrapping entry is rebuilt with the deltas
+    that leave the tape shifted by the tape's L * S keys.  The rows are
+    tuples, so no run or ``step`` can change them; the machine keeps those
+    of the last ``_MARKER_LENGTHS`` lengths built and drops the oldest.
+    """
+    steps, shift = machine.steps, length * machine.states
+    rows = []
+    for cell, sign, wrapping in ((0, 1, machine.wrapping[0]), (-1, -1, machine.wrapping[1])):
+        row = list(steps[cell])
         for source, off in wrapping:
             entry = row[source]
             if entry.__class__ is int:
@@ -491,7 +517,12 @@ def _flat_table(machine: _Machine, word: str) -> list:
                     for (delta, weight, role), wraps in zip(entry, off)
                 )
             row[source] = entry
-    return table
+        rows.append(tuple(row))
+    markers = machine.markers
+    if len(markers) >= _MARKER_LENGTHS:
+        del markers[next(iter(markers))]
+    markers[length] = rows = tuple(rows)
+    return rows
 
 
 def _stamp_anchors(machine: _Machine, word: str, table: list) -> dict[int, int]:
@@ -503,12 +534,12 @@ def _stamp_anchors(machine: _Machine, word: str, table: list) -> dict[int, int]:
     symbol's row on the cell at which configurations moving that way enter:
     the left end for cycles that move right, the right end for the others.
     The machine's pattern finds those blocks in the word itself, so a word
-    of short blocks costs one scan.  The returned dict maps each stamped
-    cell to the length of its block.
+    of short blocks costs one scan, and ``run`` skips even that unless some
+    letter occurs at least the machine's block_floor times, so the machine
+    has a pattern.  The returned dict maps each stamped cell to the length
+    of its block.
     """
     blocks = {}
-    if machine.long_blocks is None:
-        return blocks
     anchors, index = machine.anchors, machine.symbol_index
     for match in machine.long_blocks.finditer(word):
         # letter p of the word sits on cell p + 1
@@ -521,8 +552,8 @@ def _stamp_anchors(machine: _Machine, word: str, table: list) -> dict[int, int]:
     return blocks
 
 
-def _stamp_movers(machine: _Machine, word: str, table: list) -> list[int]:
-    """Put the movers on the first input cell each way; returns `word`'s count of each input symbol.
+def _stamp_movers(machine: _Machine, table: list) -> None:
+    """Put the movers on the first input cell each way.
 
     Movers that move right sit on cell 1 and movers that move left on cell
     L - 2, in the machine's copy of the row that the cell already holds, its
@@ -531,9 +562,6 @@ def _stamp_movers(machine: _Machine, word: str, table: list) -> list[int]:
     """
     for cell, crossing in zip((1, -2), machine.crossing):
         table[cell] = crossing.get(id(table[cell]), table[cell])
-    # each input symbol is one letter, and counting letters in a str is
-    # much faster than counting ints in a list
-    return [word.count(letter) for letter in machine.symbol_index]
 
 
 class _Evolution:
@@ -630,6 +658,9 @@ class _Frontier:
     takes its relabel.  A walk never stops on an anchor or a mover, so
     ``advance`` never reads one.
     """
+
+    __slots__ = ("table", "states", "size", "live", "buckets", "dues", "now", "blocks",
+                 "counts", "spans", "residual", "floor", "ceiling")
 
     def __init__(self, table: list, keys: list[int], amplitudes: list[complex], states: int,
                  blocks: dict[int, int] | None = None, counts: list[int] | None = None,
@@ -848,8 +879,13 @@ def run(
     machine = _machine(spec)
     if machine.sparse:
         table = _flat_table(machine, word)
-        blocks = _stamp_anchors(machine, word, table)
-        counts = _stamp_movers(machine, word, table)
+        # each input symbol is one letter, and counting letters in a str is
+        # much faster than counting ints in a list
+        counts = [word.count(letter) for letter in machine.symbol_index]
+        # a block of fewer letters than block_floor is never stamped
+        blocks = (_stamp_anchors(machine, word, table)
+                  if max(counts, default=0) >= machine.block_floor else {})
+        _stamp_movers(machine, table)
         # the initial configuration sits at position 0, so its key is its state
         initial = [spec.state_index(spec.initial_state)]
         engine = _Frontier(table, initial, [1 + 0j], machine.states, blocks, counts,

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 import twoqfa
 from twoqfa.cli import main
 from twoqfa.machine import TwoWayQfaSpec
-from twoqfa.machines import build_m1
+from twoqfa.machines import build_m1, build_m2
 from twoqfa.specfile import save_spec
 
 
@@ -369,3 +369,25 @@ def test_a_run_above_the_cell_cap_is_a_usage_error(runner, tmp_path, fourier5):
     result = runner.invoke(main, ["run", "--machine", str(path), "--word", word])
     assert result.exit_code == 2
     assert "an array may hold" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, target, cells",
+    [
+        (("run", "--word", "(())"), "run", "a tape of 6 cells"),
+        (("sweep", "--lang", "l2_dyck", "--max-len", "4"), "sweep_compare", "tapes of up to 6 cells"),
+    ],
+    ids=["run", "sweep"],
+)
+def test_running_out_of_memory_exits_two_without_a_traceback(runner, monkeypatch, args, target,
+                                                              cells):
+    """A run or sweep that raises MemoryError exits 2 with one line naming states and cells."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"twoqfa.cli.{target}", exhausted)
+    result = runner.invoke(main, [*args, "--machine", "m2", "--n-paths", "3"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    states = len(build_m2(3).states)
+    assert result.output == f"Error: out of memory: {states} states on {cells}\n"

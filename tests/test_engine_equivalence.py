@@ -300,6 +300,8 @@ def test_a_pickled_or_copied_spec_leaves_the_tables_out(make, first, second):
     spec = make()
     before = pickle.dumps(spec)
     word = first + second
+    for repeat in range(1, 6):
+        run(spec, first * repeat)
     result = run(spec, word, trace=True)
     step(spec, word, initial_vector(spec, word))
     assert "_tables" in vars(spec)
@@ -587,7 +589,7 @@ def _table_reads(spec, word, **options) -> tuple[core.RunResult, int]:
 def _unjumped(spec, word, **options) -> core.RunResult:
     """A run with no cycle anchor and no mover in its table, so every key walks a step at a time."""
     with mock.patch.object(core, "_stamp_anchors", lambda machine, word, table: {}), \
-            mock.patch.object(core, "_stamp_movers", lambda machine, word, table: None):
+            mock.patch.object(core, "_stamp_movers", lambda machine, table: None):
         return run(spec, word, **options)
 
 
@@ -796,10 +798,11 @@ def test_a_run_table_holds_one_shared_row_per_cell():
     Every input cell without an anchor holds its symbol's row of the
     machine's steps itself.  A stamped cell holds its anchor group's row.
     Cells 1 and L - 2 hold the machine's copy of that row with the movers
-    that go right, or left, put in, and only the two marker rows are copies
-    made per run, in which the entries that move a head off the tape are
-    rebuilt.  The first word has a stamped first block, the second a
-    stamped last block, on m3 N=5 built to stamp blocks of any length.
+    that go right, or left, put in, and only the two marker rows are
+    copies, made once per tape length and kept on the machine, in which
+    the entries that move a head off the tape are rebuilt.  The first word
+    has a stamped first block, the second a stamped last block, on m3 N=5
+    built to stamp blocks of any length.
     """
     spec = _stamped_from_least(partial(build_m3, 5))
     machine = core._machine(spec)
@@ -828,11 +831,67 @@ def test_a_run_table_holds_one_shared_row_per_cell():
                     assert ways == {s for s in movers
                                     if (spec.head_fn[spec.states[s]] > 0) is right}
             assert any(table[cell] is row for row in rows), cell
-        for cell, wrapping in ((0, machine.wrapping[0]), (-1, machine.wrapping[1])):
+        for cell, wrapping, kept in zip((0, -1), machine.wrapping, machine.markers[len(table)]):
             steps = machine.steps[symbols[cell]]
-            assert table[cell] is not steps and len(table[cell]) == len(steps)
-            rebuilt = [source for source, entry in enumerate(table[cell]) if entry != steps[source]]
+            assert table[cell] is kept and kept is not steps and len(kept) == len(steps)
+            rebuilt = [source for source, entry in enumerate(kept) if entry != steps[source]]
             assert rebuilt == [source for source, _ in wrapping] != []
+
+
+def _run_table(spec, word, **options) -> list:
+    """The table the frontier of a run of `word` reads."""
+    with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
+        run(spec, word, **options)
+    return frontier.call_args.args[0]
+
+
+def test_words_of_one_length_share_the_marker_rows():
+    """Runs and ``step`` on tapes of one length read the same two marker rows, built once."""
+    spec = build_m3(5)
+    machine = core._machine(spec)
+    first, second = _run_table(spec, "aabbcc"), _run_table(spec, "cbacba")
+    step(spec, "abcabc", initial_vector(spec, "abcabc"))
+    for cell, kept in zip((0, -1), machine.markers[8]):
+        assert isinstance(kept, tuple)
+        assert first[cell] is kept and second[cell] is kept and machine.step_tables[cell] is kept
+    assert list(machine.markers) == [8]
+    assert _run_table(spec, "abcab")[0] is not machine.markers[8][0]
+    assert list(machine.markers) == [8, 7]
+
+
+def test_the_kept_marker_rows_equal_fresh_ones_after_runs_and_steps():
+    """No stamped run or ``step`` writes into the marker rows a machine keeps.
+
+    The machine stamps blocks from their least length on, so the longer
+    words below stamp anchors next to the marker cells, and the movers sit
+    on cells 1 and L - 2, which on a word of one letter are one cell.
+    """
+    spec = _stamped_from_least(partial(build_m3, 5))
+    machine = core._machine(spec)
+    stamped = 0
+    for word in ("a", "ab", "aabbcc", "a" * 5 + "b" * 6 + "c" * 5, "c" * 9 + "b" * 4, "cba" * 4):
+        stamped += len(_stamped(spec, word))
+        assert run(spec, word, max_steps=7) == _unjumped(spec, word, max_steps=7)
+        vector = initial_vector(spec, word)
+        for _ in range(3):
+            _, _, vector = measure(spec, step(spec, word, vector))
+    assert stamped > 0 and len(machine.markers) == 6
+    fresh = core._machine(build_m3(5))
+    for length, rows in machine.markers.items():
+        assert rows == core._marker_rows(fresh, length)
+
+
+def test_the_marker_rows_of_at_most_a_bound_of_lengths_are_kept():
+    """Past ``_MARKER_LENGTHS`` tape lengths the oldest is dropped, and runs are unchanged."""
+    spec = build_m2(10)
+    machine = core._machine(spec)
+    bound = core._MARKER_LENGTHS
+    words = ["(" * k + ")" * k for k in range(bound + 5)]
+    results = [run(spec, word, trace=True) for word in words]
+    assert list(machine.markers) == [len(word) + 2 for word in words[-bound:]]
+    machine.markers.clear()
+    assert [run(spec, word, trace=True) for word in reversed(words)] == results[::-1]
+    assert len(machine.markers) == bound
 
 
 def test_each_full_step_advances_only_the_keys_due_at_it(m3_5):
