@@ -838,10 +838,10 @@ def test_a_run_table_holds_one_shared_row_per_cell():
             assert rebuilt == [source for source, _ in wrapping] != []
 
 
-def _run_table(spec, word, **options) -> list:
+def _run_table(spec, word) -> list:
     """The table the frontier of a run of `word` reads."""
     with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
-        run(spec, word, **options)
+        run(spec, word)
     return frontier.call_args.args[0]
 
 
