@@ -34,23 +34,14 @@ tape's length alone: they shift by its L * S keys the deltas that leave
 the tape, which the machine lists in wrapping.  So the machine builds
 them once per length and keeps those of the last ``_MARKER_LENGTHS``
 lengths, as tuples that every table of that length shares.  Keys on
-relabel chains walk them on their own clocks, and a full step takes only
-the keys due at it.  Inside a block of one input symbol most chains run
-into a cycle of relabels that moves the head a cell or more a period;
-the machine finds these once (``_cycle_anchors``), and a run stamps them
-on the cells at which they enter blocks of at least ``_JUMP_CELLS``
-letters (``_stamp_anchors``), which one pattern per machine finds in the
-word, scanned only when some letter occurs often enough to fill such a
-block.  A walk that meets one skips every whole period inside the block
-and the budget at once, so a walk costs a few reads per long block, not
-one per step; a shorter block is walked, since there a jump costs more
-than the reads it saves.
-A mover (``_movers``) waits a fixed number of steps on each letter and
-moves on in its own state, as each path of an N-path stage does, so the
-steps it takes to cross the word are a sum over the word's letter counts;
-the machine keeps rows with its movers put in, a run puts them on the
-first input cell each way (``_stamp_movers``), and a walk that meets one
-there crosses the whole word in one read.
+relabel chains walk them on their own clocks, one table read a step, and
+a full step takes only the keys due at it.  A mover (``_movers``) waits a
+fixed number of steps on each letter and moves on in its own state, as
+each path of an N-path stage does, so the steps it takes to cross the
+word are a sum over the word's letter counts; the machine keeps each
+letter's row with its movers put in, a run puts them on the first input
+cell each way (``_stamp_movers``), and a walk that meets one there
+crosses the whole word in one read.
 
 The dense engine orders the rows of the array by halting role, running
 states first, and the machine keeps each symbol's matrix dense in that
@@ -67,10 +58,8 @@ the product, in which it reads every row and every column.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -92,16 +81,6 @@ MAX_STEPS_FACTOR = 64
 #: cap.  The frontier keeps no such array, so ``run`` checks this on the
 #: dense engine alone, and ``step`` and ``initial_vector`` on both.
 MAX_DENSE_CELLS = 2 ** 22
-
-# The fewest letters of a block on which a run stamps cycle anchors.  A
-# deterministic sweep walks a block at one table read a letter (about
-# 0.1 us), while a stamp and its jump cost about 2 us a block.  Run with
-# and without anchors, in 41 interleaved batches a word on a 2-core host,
-# m2 N=10 on (^k )^k and m3 N=5 on a^k b^(k+1) c^k read +3 and +5 us
-# (anchors slower) at k = 16, +0.3 and -1.9 us at k = 32, -0.7 and -6 us
-# at 40 and -7 and -14 us at 64 (median paired differences): the jump
-# breaks even with the walk at 32 letters.
-_JUMP_CELLS = 32
 
 # How far a frontier's running residual must lie above the halting
 # threshold, and may lie above 1, to be kept without an exact sum
@@ -187,75 +166,6 @@ def tape_for(word: str) -> str:
     return LEFT_MARKER + word + RIGHT_MARKER
 
 
-class CycleAnchor(tuple):
-    """A pure relabel on a cycle of relabels, as a run's table holds it on a block's entry cell.
-
-    The fields are (delta, period, shift, stride, reach).  delta is the int
-    key delta it stands for.  After period steps on the block the
-    configuration is back in its state, shift keys, which are stride cells,
-    further on; reach is the furthest cell ahead of its own that a period
-    reads.  As a tuple subclass it fails the frontier's int test, so a walk
-    stops on it and jumps.
-    """
-
-    __slots__ = ()
-
-
-def _cycle_anchors(row: list, moves: list[int]) -> list[tuple[bool, int, list]]:
-    """The anchor rows of one input symbol, from its step entries `row`.
-
-    The pure relabels of a symbol map each source to one target, no two
-    sources to the same target, so they split into chains and cycles.  On a
-    block of the symbol, a configuration on a cycle of period p that moves
-    the head D != 0 cells a period is back in its state every p steps, D
-    cells further on, as long as every cell a period reads lies in the
-    block; the frontier crosses those stretches in one jump.  A cycle that
-    stays in place (D = 0) is never anchored.  A state is anchored when its
-    period reads no cell behind the one it starts on, so its jump may start
-    on the cell at which configurations moving that way enter the block.
-
-    Returns one group per direction of D that has anchors: whether the entry
-    cell is the block's left end (D > 0), the fewest cells in which some
-    anchor runs two whole periods, and `row` with each anchored state's int
-    replaced by its ``CycleAnchor``.
-    """
-    n = len(row)
-    target = {source: (source + entry) % n for source, entry in enumerate(row)
-              if entry.__class__ is int}
-    groups: dict[bool, tuple[int, list]] = {}
-    seen = set()
-    for start in target:
-        cycle, state = [], start
-        while state in target and state not in seen:
-            seen.add(state)
-            cycle.append(state)
-            state = target[state]
-        if state != start:
-            continue
-        # the cell each state of the cycle reads, from start's cell, along D
-        cells = list(accumulate((moves[target[state]] for state in cycle), initial=0))
-        drift = cells.pop()
-        if not drift:
-            continue
-        right, stride = drift > 0, abs(drift)
-        cells = [cell if right else -cell for cell in cells]
-        # one period from state k reads cells[k:] and then cells[:k] + stride
-        lowest = list(accumulate(reversed(cells), min))[::-1]
-        highest = list(accumulate(reversed(cells), max))[::-1]
-        before = list(accumulate(cells, min, initial=math.inf))
-        furthest = list(accumulate(cells, max, initial=-math.inf))
-        least, anchored = groups[right] if right in groups else (math.inf, list(row))
-        for k, state in enumerate(cycle):
-            if lowest[k] < cells[k] or before[k] + stride < cells[k]:
-                continue
-            reach = max(highest[k], furthest[k] + stride) - cells[k]
-            anchored[state] = CycleAnchor((row[state], len(cycle), drift * n, stride, reach))
-            least = min(least, reach + stride + 1)
-        if least < math.inf:
-            groups[right] = (least, anchored)
-    return [(left, least, anchored) for left, (least, anchored) in groups.items()]
-
-
 class Mover(tuple):
     """A pure relabel from a mover, as a run's table holds it on the first input cell of its way.
 
@@ -310,17 +220,12 @@ class _Machine:
     sparse picks the engine.  The frontier reads steps (a row of step
     entries per tape symbol), letter_rows (each input letter's row of
     steps), wrapping (per marker, the sources with a transition that leaves
-    the tape, and a 1 for each that does), anchors (the ``_cycle_anchors``
-    of each input symbol that has any), long_blocks (a pattern that finds
-    the blocks of a word that ``_stamp_anchors`` stamps, or None for a
-    machine with no anchors), block_floor (the fewest letters such a block
-    has, or infinity when there is no pattern), markers (``_marker_rows``
-    by tape length) and crossing
-    (per direction, right then left, the copy of each input symbol's row
-    and anchor group row that can sit on the first input cell that way,
-    with the ``Mover`` of each mover that moves that way); the dense engine
-    reads rows (the state order), the running and accepting
-    counts, and each state's move and symbol's matrix in that order.
+    the tape, and a 1 for each that does), markers (``_marker_rows`` by
+    tape length) and crossing (per direction, right then left, a copy of
+    each input letter's row with the ``Mover`` of each mover that moves
+    that way put in, or no rows if none does); the dense engine reads
+    rows (the state order), the running and accepting counts, and each
+    state's move and symbol's matrix in that order.
     step_word and step_tables are the last word ``step`` took and its tables.
     """
 
@@ -359,33 +264,16 @@ class _Machine:
                     (source, tuple(off)) for source, off in enumerate(off_tape) if any(off)
                 )
         self.letter_rows = {letter: self.steps[i] for letter, i in self.symbol_index.items()}
-        self.anchors = {symbol: groups for symbol in range(1, last)
-                        if (groups := _cycle_anchors(self.steps[symbol], moves))}
-        # a group stamps a block of max(least, _JUMP_CELLS) letters or more,
-        # so the pattern finds the blocks that some group of their letter stamps
-        fewest = {letter: max(min(least for _, least, _ in self.anchors[i]), _JUMP_CELLS)
-                  for letter, i in self.symbol_index.items() if i in self.anchors}
-        self.long_blocks = re.compile("|".join(
-            f"{re.escape(letter)}{{{cells},}}" for letter, cells in fewest.items()
-        )) if fewest else None
-        self.block_floor = min(fewest.values(), default=math.inf)
         self.markers = {}
-        # per direction, keyed by the id of each row that can sit on the first
-        # input cell that way, the row with that way's movers put in; the
-        # machine keeps both rows, so no id is reused
         self.crossing = ({}, {})
         movers = _movers(self.steps, moves)
-        for symbol in range(1, last):
-            steps, groups = self.steps[symbol], self.anchors.get(symbol, ())
-            for right, crossing in zip((True, False), self.crossing):
-                entries = {s: Mover((steps[s], moves[s], waits)) for s, waits in movers.items()
-                           if (moves[s] > 0) is right}
-                if not entries:
-                    continue
-                for row in [steps, *(row for left, _, row in groups if left is right)]:
-                    crossed = crossing[id(row)] = list(row)
-                    for s, entry in entries.items():
-                        crossed[s] = entry
+        for right, crossing in zip((True, False), self.crossing):
+            ways = {s: waits for s, waits in movers.items() if (moves[s] > 0) is right}
+            if ways:
+                for letter, steps in self.letter_rows.items():
+                    crossed = crossing[letter] = list(steps)
+                    for s, waits in ways.items():
+                        crossed[s] = Mover((steps[s], moves[s], waits))
 
 
 def _machine(spec: TwoWayQfaSpec) -> _Machine:
@@ -525,43 +413,18 @@ def _marker_rows(machine: _Machine, length: int) -> tuple[tuple, tuple]:
     return rows
 
 
-def _stamp_anchors(machine: _Machine, word: str, table: list) -> dict[int, int]:
-    """Stamp cycle anchors on the entry cells of the word's long blocks; returns their lengths.
-
-    A block is a run of one input symbol.  For each direction group of the
-    symbol's anchors (``_cycle_anchors``), on a block of at least
-    max(least, ``_JUMP_CELLS``) letters, the group's row replaces the
-    symbol's row on the cell at which configurations moving that way enter:
-    the left end for cycles that move right, the right end for the others.
-    The machine's pattern finds those blocks in the word itself, so a word
-    of short blocks costs one scan, and ``run`` skips even that unless some
-    letter occurs at least the machine's block_floor times, so the machine
-    has a pattern.  The returned dict maps each stamped cell to the length
-    of its block.
-    """
-    blocks = {}
-    anchors, index = machine.anchors, machine.symbol_index
-    for match in machine.long_blocks.finditer(word):
-        # letter p of the word sits on cell p + 1
-        lo, hi = match.span()
-        for left, least, row in anchors[index[word[lo]]]:
-            if hi - lo >= least:
-                cell = lo + 1 if left else hi
-                table[cell] = row
-                blocks[cell] = hi - lo
-    return blocks
-
-
-def _stamp_movers(machine: _Machine, table: list) -> None:
-    """Put the movers on the first input cell each way.
+def _stamp_movers(machine: _Machine, word: str, table: list) -> None:
+    """Put the movers on the first input cell each way of the table of `word`.
 
     Movers that move right sit on cell 1 and movers that move left on cell
-    L - 2, in the machine's copy of the row that the cell already holds, its
-    symbol's or an anchor group's.  On a word of one letter the two cells
-    are one and only the right movers sit on it.
+    L - 2, in the machine's copy of the row of the letter there.  On a word
+    of one letter the two cells are one, and the right movers, put in last,
+    sit on it alone if there are any.  The empty word has no input cell,
+    and no row is kept for the letter "".
     """
-    for cell, crossing in zip((1, -2), machine.crossing):
-        table[cell] = crossing.get(id(table[cell]), table[cell])
+    right, left = machine.crossing
+    table[-2] = left.get(word[-1:], table[-2])
+    table[1] = right.get(word[:1], table[1])
 
 
 class _Evolution:
@@ -645,25 +508,20 @@ class _Frontier:
     depends on the budget: a run cut at step b has the first b residuals
     of the whole run.
 
-    In the table of a run, the entry cell of a long block may hold a row of
-    ``CycleAnchor`` entries (``_stamp_anchors``); blocks maps each such cell
-    to its block's length.  A walk that meets an anchor skips the whole
-    periods that read only cells of the block and end within the budget, or,
-    if there are none, takes the anchor's relabel.  Cells 1 and L - 2 may
-    hold ``Mover`` entries (``_stamp_movers``), and counts holds the word's
-    count of each input symbol.  A walk that meets a mover there moves it
-    to the opposite marker, L - 2 cells on, in the sum of its waits times
-    those counts (its span, which spans keeps by key from the first walk
-    that meets it on), if that many steps are left in the budget, and else
-    takes its relabel.  A walk never stops on an anchor or a mover, so
-    ``advance`` never reads one.
+    In the table of a run, cells 1 and L - 2 may hold ``Mover`` entries
+    (``_stamp_movers``), and counts holds the word's count of each input
+    symbol.  A walk that meets a mover there moves it to the opposite
+    marker, L - 2 cells on, in the sum of its waits times those counts (its
+    span, which spans keeps by key from the first walk that meets it on),
+    if that many steps are left in the budget, and else takes its relabel.
+    A walk never stops on a mover, so ``advance`` never reads one.
     """
 
-    __slots__ = ("table", "states", "size", "live", "buckets", "dues", "now", "blocks",
+    __slots__ = ("table", "states", "size", "live", "buckets", "dues", "now",
                  "counts", "spans", "residual", "floor", "ceiling")
 
     def __init__(self, table: list, keys: list[int], amplitudes: list[complex], states: int,
-                 blocks: dict[int, int] | None = None, counts: list[int] | None = None,
+                 counts: list[int] | None = None,
                  halt_threshold: float = DEFAULT_HALT_THRESHOLD):
         self.table = table
         self.states = states
@@ -672,7 +530,6 @@ class _Frontier:
         self.buckets = {0: keys}
         self.dues = [0]
         self.now = 0
-        self.blocks = blocks
         self.counts = counts
         self.spans = {}
         self.residual = _mass(amplitudes)
@@ -724,7 +581,7 @@ class _Frontier:
         previous = self.residual
         running, accept, reject = self.advance(due)
         taken, self.now = due + 1 - self.now, due + 1
-        blocks, counts, spans = self.blocks, self.counts, self.spans
+        counts, spans = self.counts, self.spans
         # the keys a mover crosses the L - 2 input cells by
         crossing = size - 2 * n
         kept = 0.0
@@ -742,27 +599,16 @@ class _Frontier:
                 else:
                     t = end
                     break
-                if entry.__class__ is Mover:
-                    # the whole word within the budget, else one relabel;
-                    # the mover on this key has one span for the whole run
-                    delta, move, waits = entry
-                    if (span := spans.get(key)) is None:
-                        span = spans[key] = sum(map(mul, waits, counts))
-                    if span <= end - t:
-                        key += move * crossing
-                        t += span
-                    else:
-                        key += delta
-                        t += 1
-                    continue
-                if entry.__class__ is not CycleAnchor:
+                if entry.__class__ is not Mover:
                     break
-                # whole periods inside the block and the budget, else one relabel
-                delta, period, shift, stride, reach = entry
-                m = min((blocks[key // n] - 1 - reach) // stride + 1, (end - t) // period)
-                if m > 0:
-                    key += m * shift
-                    t += m * period
+                # the whole word within the budget, else one relabel; the
+                # mover on this key has one span for the whole run
+                delta, move, waits = entry
+                if (span := spans.get(key)) is None:
+                    span = spans[key] = sum(map(mul, waits, counts))
+                if span <= end - t:
+                    key += move * crossing
+                    t += span
                 else:
                     key += delta
                     t += 1
@@ -882,14 +728,10 @@ def run(
         # each input symbol is one letter, and counting letters in a str is
         # much faster than counting ints in a list
         counts = [word.count(letter) for letter in machine.symbol_index]
-        # a block of fewer letters than block_floor is never stamped
-        blocks = (_stamp_anchors(machine, word, table)
-                  if max(counts, default=0) >= machine.block_floor else {})
-        _stamp_movers(machine, table)
+        _stamp_movers(machine, word, table)
         # the initial configuration sits at position 0, so its key is its state
         initial = [spec.state_index(spec.initial_state)]
-        engine = _Frontier(table, initial, [1 + 0j], machine.states, blocks, counts,
-                           halt_threshold)
+        engine = _Frontier(table, initial, [1 + 0j], machine.states, counts, halt_threshold)
     else:
         _check_cells(spec, word)
         layout = _Layout(machine, _tape_symbols(machine, word))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import math
 import pickle
-import re
 from dataclasses import fields, replace
 from functools import partial
 from unittest import mock
@@ -30,7 +29,7 @@ from reference_engine import reference_run, reference_step
 from reference_validate import masked_validate
 
 from twoqfa import core
-from twoqfa.core import AmplitudeVector, CycleAnchor, Mover, initial_vector, measure, run, step
+from twoqfa.core import AmplitudeVector, Mover, initial_vector, measure, run, step
 from twoqfa.machine import DEFAULT_TOLERANCE, TwoWayQfaSpec, validate
 from twoqfa.machines import build_m1, build_m2, build_m3
 from twoqfa.specfile import dumps_spec, loads_spec
@@ -554,9 +553,6 @@ def test_relabel_cycles_run_to_the_budget(moves, matrix, word, max_steps):
     machine = core._machine(spec)
     assert machine.sparse
     assert all(entry.__class__ is int for entries in machine.steps for entry in entries[:2])
-    # a cycle that stays in place is never anchored; one that goes round the
-    # tape is anchored on its letter, but a jump stays inside a block
-    assert bool(machine.anchors) is any(moves[:2])
     budget = max_steps or core.MAX_STEPS_FACTOR * (len(word) + 2)
     result = run(spec, word, max_steps=max_steps, trace=True)
     assert result == reference_run(spec, word, max_steps=max_steps, trace=True)
@@ -587,9 +583,8 @@ def _table_reads(spec, word, **options) -> tuple[core.RunResult, int]:
 
 
 def _unjumped(spec, word, **options) -> core.RunResult:
-    """A run with no cycle anchor and no mover in its table, so every key walks a step at a time."""
-    with mock.patch.object(core, "_stamp_anchors", lambda machine, word, table: {}), \
-            mock.patch.object(core, "_stamp_movers", lambda machine, table: None):
+    """A run with no mover in its table, so every key walks a step at a time."""
+    with mock.patch.object(core, "_stamp_movers", lambda machine, word, table: None):
         return run(spec, word, **options)
 
 
@@ -613,90 +608,22 @@ def _cut_run(spec, word, budget) -> core.RunResult:
     return cut
 
 
-def _stamped_from_least(make) -> TwoWayQfaSpec:
-    """The machine `make()` returns, its tables built with every block of `least` letters stamped.
-
-    ``_JUMP_CELLS`` keeps runs from stamping blocks too short to repay a
-    jump; with it at 0 during the build, the short blocks of the tests that
-    use this machine are stamped, and their exact read counts hold.
-    """
-    with mock.patch.object(core, "_JUMP_CELLS", 0):
-        spec = make()
-        core._machine(spec)
-    return spec
-
-
-#: one long-block word per machine; most of its budgets end inside a jump
+#: one long-block word per machine; most of its budgets end inside a mover's crossing
 _LONG_BLOCKS = [("m2_10", "(" * 64 + ")" * 64), ("m3_5", "a" * 40 + "b" * 41 + "c" * 40)]
 
 
 def test_a_long_block_is_crossed_in_jumps(m2_10, m3_20):
-    """Keys on relabel cycles cross a block in a few reads, not one read a step.
+    """Each path crosses the word in one read, and the deterministic sweeps read a cell a step.
 
     Walked one step at a time, m2 N=10 reads 8,494 entries on the word below
-    and m3 N=20 3,444,439; with the block jumps alone they read 68 and
-    2,568, and with the whole-word jumps as well 58 and 1,310.
+    and m3 N=20 3,444,021; with the movers 184 and 2,331, about one read a
+    letter of each sweep.
     """
-    for spec, word, bound in ((m2_10, "(" * 64 + ")" * 64, 500),
-                              (m3_20, "a" * 341 + "b" * 342 + "c" * 341, 20_000)):
+    for spec, word, want in ((m2_10, "(" * 64 + ")" * 64, 184),
+                             (m3_20, "a" * 341 + "b" * 342 + "c" * 341, 2_331)):
         result, reads = _table_reads(spec, word)
-        assert result.halted and reads < bound
+        assert result.halted and reads == want
         assert result == _unjumped(spec, word)
-
-
-def _stamped(spec, word) -> dict[int, int]:
-    """The blocks a traced run of `word` stamps, as ``_stamp_anchors`` returns them.
-
-    The run must equal ``_unjumped``, traces included.
-    """
-    with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
-        result = run(spec, word, trace=True)
-    assert result == _unjumped(spec, word, trace=True)
-    return frontier.call_args.args[4]
-
-
-def _stamping_rule(machine, blocks) -> dict[int, int]:
-    """The cells that each anchor group stamps on the word of `blocks`, (letter, length) pairs.
-
-    A group stamps a block of at least max(least, ``_JUMP_CELLS``) letters,
-    on its first cell if the group's cycles move right and else on its last.
-    """
-    stamped, lo = {}, 0
-    for letter, length in blocks:
-        hi = lo + length
-        for left, least, _ in machine.anchors[machine.symbol_index[letter]]:
-            if length >= max(least, core._JUMP_CELLS):
-                stamped[lo + 1 if left else hi] = length
-        lo = hi
-    return stamped
-
-
-@pytest.mark.parametrize("name", ["m2_10", "m3_5"])
-def test_a_block_is_stamped_from_jump_cells_letters_on(name, request):
-    """A block of ``_JUMP_CELLS`` - 1 letters is walked and one of ``_JUMP_CELLS`` is stamped.
-
-    Each letter's block stands at the left end of the word and at the
-    right, beside one letter of each other symbol; then every letter has a
-    long block.  Every anchor group of m2 and m3 has a least below
-    ``_JUMP_CELLS``, so the floor alone decides.
-    """
-    spec = request.getfixturevalue(name)
-    machine = core._machine(spec)
-    jump, letters = core._JUMP_CELLS, list(machine.symbol_index)
-    assert set(machine.anchors) == set(machine.symbol_index.values())
-    assert all(least < jump for groups in machine.anchors.values() for _, least, _ in groups)
-    for letter in letters:
-        others = [(other, 1) for other in letters if other != letter]
-        for length in (jump - 1, jump):
-            for blocks in ([(letter, length), *others], [*others, (letter, length)]):
-                word = "".join(symbol * size for symbol, size in blocks)
-                want = _stamping_rule(machine, blocks)
-                assert bool(want) is (length == jump), word
-                assert _stamped(spec, word) == want, word
-    blocks = [(letter, jump + i) for i, letter in enumerate(letters)]
-    want = _stamping_rule(machine, blocks)
-    assert len(want) == sum(len(groups) for groups in machine.anchors.values())
-    assert _stamped(spec, "".join(symbol * size for symbol, size in blocks)) == want
 
 
 def test_the_paths_of_each_n_path_stage_are_its_movers(m2_10, m3_5):
@@ -721,7 +648,7 @@ def test_the_paths_of_each_n_path_stage_are_its_movers(m2_10, m3_5):
 
 
 def test_a_word_of_one_letter_blocks_is_crossed_in_one_read_a_path(m2_10):
-    """No block of ()³² is long enough for an anchor, but each path crosses the word in one read.
+    """On ()³², as on a long block, each path crosses the word in one read.
 
     With movers switched off the run reads 4,394 entries; with them 244.
     """
@@ -795,42 +722,34 @@ def test_every_budget_on_a_dyck_word_ends_the_run_at_its_step(name, word, reques
 def test_a_run_table_holds_one_shared_row_per_cell():
     """The table of a run is one row a tape cell, not S entries copied for each cell.
 
-    Every input cell without an anchor holds its symbol's row of the
-    machine's steps itself.  A stamped cell holds its anchor group's row.
-    Cells 1 and L - 2 hold the machine's copy of that row with the movers
-    that go right, or left, put in, and only the two marker rows are
-    copies, made once per tape length and kept on the machine, in which
-    the entries that move a head off the tape are rebuilt.  The first word
-    has a stamped first block, the second a stamped last block, on m3 N=5
-    built to stamp blocks of any length.
+    Every input cell holds its symbol's row of the machine's steps itself,
+    but cells 1 and L - 2, which hold the machine's copy of that row with
+    the movers that go right, or left, put in.  Only the two marker rows
+    are copies, made once per tape length and kept on the machine, in
+    which the entries that move a head off the tape are rebuilt.
     """
-    spec = _stamped_from_least(partial(build_m3, 5))
+    spec = build_m3(5)
     machine = core._machine(spec)
     movers = core._movers(machine.steps, [spec.head_fn[s] for s in spec.states])
-    for word, first, last in (("a" * 21 + "b" * 20 + "c" * 22 + "bca", True, False),
-                              ("c" + "a" * 5 + "b" * 7 + "c" * 9, False, True)):
+    for word in ("a" * 21 + "b" * 20 + "c" * 22 + "bca", "c" + "a" * 5 + "b" * 7 + "c" * 9):
         with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
             run(spec, word)
-        table, _, _, _, blocks, counts, _ = frontier.call_args.args
+        table, _, _, _, counts, _ = frontier.call_args.args
         symbols = core._tape_symbols(machine, word)
         assert counts == [word.count(letter) for letter in "abc"]
         assert len(table) == len(word) + 2
-        assert 0 < len(blocks) < len(word) // 2
-        assert (1 in blocks, len(word) in blocks) == (first, last)
         for cell in range(1, len(word) + 1):
-            if cell in blocks:
-                rows = [row for _, _, row in machine.anchors[symbols[cell]]]
-            else:
-                rows = [machine.steps[symbols[cell]]]
+            row = steps = machine.steps[symbols[cell]]
             for end, crossing, right in ((1, machine.crossing[0], True),
                                          (len(word), machine.crossing[1], False)):
                 if cell == end:
-                    rows = [crossing[id(row)] for row in rows if id(row) in crossing]
-                    assert len(rows) == 1, cell
-                    ways = {s for s, entry in enumerate(rows[0]) if entry.__class__ is Mover}
+                    row = crossing[word[cell - 1]]
+                    ways = {s for s, entry in enumerate(row) if entry.__class__ is Mover}
                     assert ways == {s for s in movers
                                     if (spec.head_fn[spec.states[s]] > 0) is right}
-            assert any(table[cell] is row for row in rows), cell
+                    assert [entry[0] if entry.__class__ is Mover else entry
+                            for entry in row] == steps
+            assert table[cell] is row, cell
         for cell, wrapping, kept in zip((0, -1), machine.wrapping, machine.markers[len(table)]):
             steps = machine.steps[symbols[cell]]
             assert table[cell] is kept and kept is not steps and len(kept) == len(steps)
@@ -860,22 +779,19 @@ def test_words_of_one_length_share_the_marker_rows():
 
 
 def test_the_kept_marker_rows_equal_fresh_ones_after_runs_and_steps():
-    """No stamped run or ``step`` writes into the marker rows a machine keeps.
+    """No run or ``step`` writes into the marker rows a machine keeps.
 
-    The machine stamps blocks from their least length on, so the longer
-    words below stamp anchors next to the marker cells, and the movers sit
-    on cells 1 and L - 2, which on a word of one letter are one cell.
+    The movers sit on cells 1 and L - 2, next to the marker cells, and on
+    a word of one letter those are one cell.
     """
-    spec = _stamped_from_least(partial(build_m3, 5))
+    spec = build_m3(5)
     machine = core._machine(spec)
-    stamped = 0
     for word in ("a", "ab", "aabbcc", "a" * 5 + "b" * 6 + "c" * 5, "c" * 9 + "b" * 4, "cba" * 4):
-        stamped += len(_stamped(spec, word))
         assert run(spec, word, max_steps=7) == _unjumped(spec, word, max_steps=7)
         vector = initial_vector(spec, word)
         for _ in range(3):
             _, _, vector = measure(spec, step(spec, word, vector))
-    assert stamped > 0 and len(machine.markers) == 6
+    assert len(machine.markers) == 6
     fresh = core._machine(build_m3(5))
     for length, rows in machine.markers.items():
         assert rows == core._marker_rows(fresh, length)
@@ -926,10 +842,10 @@ def test_each_full_step_advances_only_the_keys_due_at_it(m3_5):
 
 @pytest.mark.parametrize("name, word", _LONG_BLOCKS)
 def test_every_budget_on_a_long_block_ends_the_run_at_its_step(name, word, request):
-    """A budget that ends inside a jump stops the run there, with the rows of the whole run."""
+    """A budget that ends inside a mover's crossing stops the run there, with the whole run's rows."""
     spec = request.getfixturevalue(name)
     whole, reads = _table_reads(spec, word, trace=True)
-    assert whole.halted and reads < whole.steps / 4
+    assert whole.halted and reads < whole.steps / 3
     assert _close(whole.trace, reference_run(spec, word, trace=True).trace)
     for budget in range(1, whole.steps + 1):
         cut = _cut_run(spec, word, budget)
@@ -1050,9 +966,6 @@ def test_a_mover_crosses_the_word_in_one_read(word):
     spec = _pacing()
     machine = core._machine(spec)
     assert core._movers(machine.steps, [1, 0, 0, 0]) == {0: (3, 3)}
-    (left, least, row), = machine.anchors[1]
-    assert left and least == 2 and isinstance(row[0], CycleAnchor)
-    assert row[0] == (1, 3, 4, 1, 0)  # s0 steps to s1 on its cell, one key on
     for crossed in machine.crossing[0].values():
         assert crossed[0] == (1, 1, (3, 3)) and isinstance(crossed[0], Mover)
     assert machine.crossing[1] == {}
@@ -1063,31 +976,18 @@ def test_a_mover_crosses_the_word_in_one_read(word):
     "word", _PACED_WORDS + ["b", "abbba", "abbbba", "bbbbba", "abbbbbab", "a" * 3 + "b" * 8 + "a"]
 )
 def test_jumps_end_on_block_edges(word):
-    """Blocks of 1, 2 and p + 1 cells, each jump ending on the first cell past its block.
+    """Cycles that b hands over from one to the other, on blocks of 1, 2 and more cells.
 
-    Built to stamp blocks of any length, the machine stamps a block when
-    some cycle runs two periods in it: an a block of 2 cells or more, a b
-    block of 4 or more.  A jump on an a block ends on the first cell past
-    it; one on a b block of odd length ends on its last cell, which the
-    walk then crosses in three reads.
+    No state is a mover, so the run walks every cell in three reads,
+    wherever the blocks start and end.
     """
-    spec = _stamped_from_least(_handing_over)
+    spec = _handing_over()
     machine = core._machine(spec)
     assert core._movers(machine.steps, [1, 0, 0, 0, 1, 0, 0, 0]) == {}
     assert machine.crossing == ({}, {})
-    (left, least, row), = machine.anchors[1]
-    assert left and least == 2 and row[0] == (1, 3, 8, 1, 0) and row[4] == (1, 3, 8, 1, 0)
-    (left, least, row), = machine.anchors[2]
-    assert left and least == 4 and row[0] == (1, 6, 16, 2, 1) and row[4] == (1, 6, 16, 2, 1)
-    # three reads on the left marker, two on the right marker: the walk's
-    # and the full step's
-    reads = 3 + 2
-    for block in re.findall(r"a+|b+", word):
-        if block[0] == "a":
-            reads += 3 if len(block) == 1 else 1
-        else:
-            reads += 3 * len(block) if len(block) < 4 else 1 + 3 * (len(block) % 2)
-    _assert_paced_run(spec, word, reads)
+    # three reads on the left marker and on each input cell, two on the
+    # right marker: the walk's and the full step's
+    _assert_paced_run(spec, word, 3 * (len(word) + 1) + 2)
 
 
 @pytest.mark.parametrize("name, word", _LONG_BLOCKS[1:])
@@ -1104,7 +1004,7 @@ def test_a_halt_threshold_of_one_half_on_a_long_block(name, word, request):
 
 @pytest.mark.parametrize("name, word", _LONG_BLOCKS)
 def test_stepping_a_long_block_equals_its_run(name, word, request):
-    """``step`` and ``measure``, one step at a time, give the rows of the run that jumps."""
+    """``step`` and ``measure``, one step at a time, give the rows of the run that crosses."""
     spec = request.getfixturevalue(name)
     result = run(spec, word, trace=True)
     vector = initial_vector(spec, word)
@@ -1125,7 +1025,7 @@ def test_stepping_a_long_block_equals_its_run(name, word, request):
     st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 12)), min_size=1, max_size=5),
     st.integers(1, 300),
 )
-# cycles that read a cell behind some of their states, after and before them
+# relabel cycles that step back a cell inside a period
 @example(9, 97, [("b", 2)], 120)
 @example(9, 34, [("a", 7)], 104)
 # movers: both ways, cut inside a crossing; waits 1 and 3; one crossing on a
@@ -1137,16 +1037,12 @@ def test_stepping_a_long_block_equals_its_run(name, word, request):
 def test_random_relabel_machines_jump_as_they_walk(n, seed, blocks, max_steps):
     """On random permutations of weight 1, whose cycles move either way and may step back.
 
-    A cycle that reads a cell behind its start is anchored only on the
-    states from which it never does.  Some states come back to themselves
-    one cell on after each letter, so they are movers and cross the word.
-    The blocks are shorter than ``_JUMP_CELLS``, so the machine also runs
-    built to stamp blocks of any length.
+    Some states come back to themselves one cell on after each letter, so
+    they are movers and cross the word; every other chain is walked.
     """
     rng = np.random.default_rng(seed)
     states = tuple(f"s{i}" for i in range(n))
-    machine = partial(
-        TwoWayQfaSpec,
+    spec = TwoWayQfaSpec(
         states=states,
         input_alphabet=("a", "b"),
         initial_state="s0",
@@ -1156,9 +1052,8 @@ def test_random_relabel_machines_jump_as_they_walk(n, seed, blocks, max_steps):
         head_fn=dict(zip(states, rng.choice((-1, 0, 1), n).tolist())),
     )
     word = "".join(symbol * count for symbol, count in blocks)
-    for spec in (machine(), _stamped_from_least(machine)):
-        result = run(spec, word, max_steps=max_steps, trace=True)
-        assert result == _unjumped(spec, word, max_steps=max_steps, trace=True)
+    result = run(spec, word, max_steps=max_steps, trace=True)
+    assert result == _unjumped(spec, word, max_steps=max_steps, trace=True)
 
 
 @settings(max_examples=60, deadline=None)
