@@ -111,6 +111,14 @@ def _emit_csv(header, rows) -> None:
     click.echo(buffer.getvalue(), nl=False)
 
 
+def _echo_listed(lines: list[str]) -> None:
+    """The first 20 of `lines`, indented, and then how many more there are."""
+    for line in lines[:20]:
+        click.echo(f"    {line}")
+    if len(lines) > 20:
+        click.echo(f"    ... and {len(lines) - 20} more")
+
+
 def _out_of_memory(spec: TwoWayQfaSpec, cells: str) -> click.ClickException:
     """The exit-2 error for a run of `spec` on `cells` that ran out of memory."""
     error = click.ClickException(f"out of memory: {len(spec.states)} states on {cells}")
@@ -274,18 +282,15 @@ def sweep_cmd(machine, n_paths, lang, max_len, fmt) -> None:
                    f"{report.language}, words up to length {report.max_len}")
         click.echo(f"  words checked : {report.total_words}")
         click.echo(f"  mismatches    : {len(report.mismatches)}")
-        for m in report.mismatches[:20]:
-            click.echo(f"    {m.word!r}: machine "
-                       f"{'accepts' if m.machine_accepts else 'rejects'} "
-                       f"(p_accept={m.p_accept:.6f}), oracle "
-                       f"{'accepts' if m.oracle_accepts else 'rejects'}")
-        if len(report.mismatches) > 20:
-            click.echo(f"    ... and {len(report.mismatches) - 20} more")
+        _echo_listed([f"{m.word!r}: machine {'accepts' if m.machine_accepts else 'rejects'} "
+                      f"(p_accept={m.p_accept:.6f}), oracle "
+                      f"{'accepts' if m.oracle_accepts else 'rejects'}"
+                      for m in report.mismatches])
         if report.bound_checked:
             click.echo(f"  bound violations: {len(report.bound_violations)}")
-            for v in report.bound_violations[:20]:
-                click.echo(f"    {v.word!r}: wanted {v.requirement}, got "
-                           f"p_accept={v.p_accept:.6f} p_reject={v.p_reject:.6f}")
+            _echo_listed([f"{v.word!r}: wanted {v.requirement}, got "
+                          f"p_accept={v.p_accept:.6f} p_reject={v.p_reject:.6f}"
+                          for v in report.bound_violations])
 
 
 @main.command(name="transcribe")

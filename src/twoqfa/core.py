@@ -31,17 +31,16 @@ target), in target order.  A run's table (``_flat_table``) has one row a
 tape cell, its letter's entries, shared by every cell of that letter and
 mapped from the word in one pass.  The two marker rows depend on the
 tape's length alone: they shift by its L * S keys the deltas that leave
-the tape, which the machine lists in wrapping.  So the machine builds
-them once per length and keeps those of the last ``_MARKER_LENGTHS``
-lengths, as tuples that every table of that length shares.  Keys on
-relabel chains walk them on their own clocks, one table read a step, and
-a full step takes only the keys due at it.  A mover (``_movers``) waits a
-fixed number of steps on each letter and moves on in its own state, as
-each path of an N-path stage does, so the steps it takes to cross the
-word are a sum over the word's letter counts; the machine keeps each
-letter's row with its movers put in, a run puts them on the first input
-cell each way (``_stamp_movers``), and a walk that meets one there
-crosses the whole word in one read.
+the tape, which the machine lists in wrapping.  So the machine keeps them
+in an ``lru_cache`` of ``_MARKER_LENGTHS`` lengths, as tuples that every
+table of that length shares.  Keys on relabel chains walk them on their
+own clocks, one table read a step, and a full step takes only the keys
+due at it.  A mover (``_movers``) waits a fixed number of steps on each
+letter and moves on in its own state, as each path of an N-path stage
+does, so the steps it takes to cross the word are a sum over the word's
+letter counts; the machine keeps each letter's row with its movers put
+in, a run puts them on the first input cell each way (``_stamp_movers``),
+and a walk that meets one there crosses the whole word in one read.
 
 The dense engine orders the rows of the array by halting role, running
 states first, and the machine keeps each symbol's matrix dense in that
@@ -50,22 +49,23 @@ each symbol's cells are one slice, and within a slice by distance from
 cell 0, so the cells a run can reach by a step form a prefix of each
 slice, which the step multiplies alone before one gather moves the
 products to their target cells.  Both engines build their index tables
-once per word; ``step`` keeps those of the last word it was called with
-on the machine, and converts a vector to and from the dense order around
-the product, in which it reads every row and every column.
+once per word; ``step`` keeps the last word it took and its tables on
+the machine, as one pair, and converts a vector to and from the dense
+order around the product, in which it reads every row and every column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 from operator import mul
 
 import numpy as np
 
 from .errors import AlphabetError
-from .machine import LEFT_MARKER, RIGHT_MARKER, TwoWayQfaSpec
+from .machine import TwoWayQfaSpec
 
 #: residual mass below which a run counts as halted
 DEFAULT_HALT_THRESHOLD = 1e-12
@@ -88,12 +88,13 @@ MAX_DENSE_CELLS = 2 ** 22
 # so a run would need about 10**9 full steps to drift as far.
 _RESUM_MARGIN = 1e-6
 
-# How many tape lengths a machine keeps the marker rows of (``_marker_rows``),
-# the oldest dropped first.  A long_words pass cycles through 4 lengths on
-# m2 and 8 on m3, and a first-in first-out cache smaller than a cycle would
-# miss on every run, so this is twice the larger; a sweep uses one length at
-# a time.  Two rows of S references cost about 2 * 8 * 15,508 B = 248 KB a
-# length for m3 N=100, so about 4 MB when full.
+# How many tape lengths a machine keeps the marker rows of: the maxsize of
+# its own ``lru_cache``, which drops the least recently used length and is
+# safe to call from several threads.  A long_words pass cycles through 4
+# lengths on m2 and 8 on m3, and a cache smaller than a cycle would miss on
+# every run, so this is twice the larger; a sweep uses one length at a time.
+# Two rows of S references cost about 248 KB a length for m3 N=100 (2 * 8 *
+# 15,508 B), so about 4 MB when full.
 _MARKER_LENGTHS = 16
 
 
@@ -162,10 +163,6 @@ def _nonzeros(data: np.ndarray) -> tuple[list[int], list[int], list[complex]]:
     return rows.tolist(), cols.tolist(), data[rows, cols].tolist()
 
 
-def tape_for(word: str) -> str:
-    return LEFT_MARKER + word + RIGHT_MARKER
-
-
 class Mover(tuple):
     """A pure relabel from a mover, as a run's table holds it on the first input cell of its way.
 
@@ -220,13 +217,14 @@ class _Machine:
     sparse picks the engine.  The frontier reads steps (a row of step
     entries per tape symbol), letter_rows (each input letter's row of
     steps), wrapping (per marker, the sources with a transition that leaves
-    the tape, and a 1 for each that does), markers (``_marker_rows`` by
-    tape length) and crossing (per direction, right then left, a copy of
-    each input letter's row with the ``Mover`` of each mover that moves
-    that way put in, or no rows if none does); the dense engine reads
-    rows (the state order), the running and accepting counts, and each
-    state's move and symbol's matrix in that order.
-    step_word and step_tables are the last word ``step`` took and its tables.
+    the tape, and a 1 for each that does), marker_rows (``_marker_rows`` of
+    a tape length, cached; it holds steps and wrapping, not the machine)
+    and crossing (per direction, right then left, a copy of each input
+    letter's row with the ``Mover`` of each mover that moves that way put
+    in, or no rows if none does); the dense engine reads rows (the state
+    order), the running and accepting counts, and each state's move and
+    symbol's matrix in that order.  stepped is the pair of the last word
+    ``step`` took and its tables, replaced in one assignment.
     """
 
     def __init__(self, spec: TwoWayQfaSpec):
@@ -237,7 +235,7 @@ class _Machine:
         moves = [spec.head_fn[s] for s in spec.states]
         columns = list(spec._columns.values())
         self.sparse = 2 * sum(len(c.values) for c in columns) < len(columns) * n * n
-        self.step_word = self.step_tables = None
+        self.stepped = (None, None)
         if not self.sparse:
             rows = self.rows = np.argsort(self.halt_role, kind="stable")
             self.running, self.accepting, _ = np.bincount(self.halt_role, minlength=3).tolist()
@@ -264,7 +262,8 @@ class _Machine:
                     (source, tuple(off)) for source, off in enumerate(off_tape) if any(off)
                 )
         self.letter_rows = {letter: self.steps[i] for letter, i in self.symbol_index.items()}
-        self.markers = {}
+        self.marker_rows = lru_cache(_MARKER_LENGTHS)(
+            partial(_marker_rows, self.steps, self.wrapping, n))
         self.crossing = ({}, {})
         movers = _movers(self.steps, moves)
         for right, crossing in zip((True, False), self.crossing):
@@ -372,30 +371,31 @@ def _flat_table(machine: _Machine, word: str) -> list:
     One row a cell: key position * S + state reads entry key % S of row
     key // S.  An input cell holds its letter's prebuilt row itself, shared
     with every other cell of that letter and never written.  The two marker
-    cells hold the machine's ``_marker_rows`` for the tape's length, shared
-    with every table of that length.
+    cells hold the machine's cached marker rows for the tape's length,
+    shared with every table of that length.
     """
-    left, right = machine.markers.get(len(word) + 2) or _marker_rows(machine, len(word) + 2)
+    left, right = machine.marker_rows(len(word) + 2)
     try:
         return [left, *map(machine.letter_rows.__getitem__, word), right]
     except KeyError:
         raise _alphabet_error(machine, word) from None
 
 
-def _marker_rows(machine: _Machine, length: int) -> tuple[tuple, tuple]:
-    """The left and right marker rows of a tape of `length` cells, kept on the machine.
+def _marker_rows(steps: list[list], wrapping: tuple[list, list], states: int,
+                 length: int) -> tuple[tuple, tuple]:
+    """The left and right marker rows of a tape of `length` cells, of a machine of `states` states.
 
     Only the end markers can move a head off the tape, so only their rows
-    depend on its length: each wrapping entry is rebuilt with the deltas
-    that leave the tape shifted by the tape's L * S keys.  The rows are
-    tuples, so no run or ``step`` can change them; the machine keeps those
-    of the last ``_MARKER_LENGTHS`` lengths built and drops the oldest.
+    depend on its length: each entry that `wrapping` lists is rebuilt from
+    `steps` with the deltas that leave the tape shifted by the tape's L * S
+    keys.  The rows are tuples, so no run or ``step`` can change those a
+    machine's ``marker_rows`` cache shares.
     """
-    steps, shift = machine.steps, length * machine.states
+    shift = length * states
     rows = []
-    for cell, sign, wrapping in ((0, 1, machine.wrapping[0]), (-1, -1, machine.wrapping[1])):
+    for cell, sign, sources in zip((0, -1), (1, -1), wrapping):
         row = list(steps[cell])
-        for source, off in wrapping:
+        for source, off in sources:
             entry = row[source]
             if entry.__class__ is int:
                 entry += sign * shift
@@ -406,11 +406,7 @@ def _marker_rows(machine: _Machine, length: int) -> tuple[tuple, tuple]:
                 )
             row[source] = entry
         rows.append(tuple(row))
-    markers = machine.markers
-    if len(markers) >= _MARKER_LENGTHS:
-        del markers[next(iter(markers))]
-    markers[length] = rows = tuple(rows)
-    return rows
+    return tuple(rows)
 
 
 def _stamp_movers(machine: _Machine, word: str, table: list) -> None:
@@ -657,11 +653,11 @@ def step(spec: TwoWayQfaSpec, word: str, vector: AmplitudeVector) -> AmplitudeVe
         raise ValueError("vector shape does not match the machine and word")
     _check_cells(spec, word)
     machine = _machine(spec)
-    if machine.step_word != word:
-        machine.step_tables = (_flat_table(machine, word) if machine.sparse
-                               else _Layout(machine, _tape_symbols(machine, word)))
-        machine.step_word = word
-    tables = machine.step_tables
+    stepped, tables = machine.stepped
+    if stepped != word:
+        tables = (_flat_table(machine, word) if machine.sparse
+                  else _Layout(machine, _tape_symbols(machine, word)))
+        machine.stepped = (word, tables)
     if not machine.sparse:
         # every row and column is multiplied: a caller's vector may carry
         # halting amplitude, and amplitude anywhere on the tape

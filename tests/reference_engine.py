@@ -23,9 +23,13 @@ from twoqfa.core import (
     MAX_STEPS_FACTOR,
     AmplitudeVector,
     RunResult,
-    tape_for,
 )
-from twoqfa.machine import TwoWayQfaSpec
+from twoqfa.machine import LEFT_MARKER, RIGHT_MARKER, TwoWayQfaSpec
+
+
+def tape_for(word: str) -> str:
+    """The marked tape ``#w$`` of `word`."""
+    return LEFT_MARKER + word + RIGHT_MARKER
 
 
 class DenseEvolution:

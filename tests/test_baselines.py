@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from twoqfa.baselines import (
@@ -19,6 +20,7 @@ from twoqfa.baselines import (
     sweep_compare,
     words_up_to,
 )
+from twoqfa.machine import TwoWayQfaSpec
 
 
 def test_membership_worked_examples():
@@ -166,6 +168,30 @@ def test_sweep_finds_no_gaps_for_the_triple_block_machine(m3_5):
     assert report.mismatches == ()
     assert report.bound_checked
     assert report.bound_violations == ()
+
+
+def test_sweep_reports_each_non_member_a_machine_named_m2_fails_to_reject():
+    """A machine named m2 with two paths is held to rejecting non-members with 1 - 1/2."""
+    swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    accepts_all = TwoWayQfaSpec(
+        states=("s", "acc", "rej"),
+        input_alphabet=("(", ")"),
+        initial_state="s",
+        accept_states=frozenset({"acc"}),
+        reject_states=frozenset({"rej"}),
+        symbol_unitaries={symbol: swap for symbol in "#()$"},
+        head_fn={"s": 0, "acc": 0, "rej": 0},
+        name="m2",
+        n_paths=2,
+    )
+    report = sweep_compare(accepts_all, LanguageId.L2_COUNT, max_len=4)
+    assert report.bound_checked
+    non_members = [w for w in words_up_to(("(", ")"), 4) if not membership(LanguageId.L2_COUNT, w)]
+    assert len(non_members) == 22
+    assert [v.word for v in report.bound_violations] == non_members
+    for violation in report.bound_violations:
+        assert violation.requirement == "non-member rejected with probability 0.499999"
+        assert (violation.p_accept, violation.p_reject) == (1.0, 0.0)
 
 
 def test_sweep_mismatches_come_out_in_shortlex_order(m2_2):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,10 @@ import pytest
 from click.testing import CliRunner
 
 import twoqfa
+from twoqfa.baselines import LanguageId, sweep_compare
 from twoqfa.cli import main
 from twoqfa.machine import TwoWayQfaSpec
-from twoqfa.machines import build_m1, build_m2
+from twoqfa.machines import build_m1, build_m2, qft_matrix
 from twoqfa.specfile import save_spec
 
 
@@ -208,6 +210,46 @@ def test_sweep_csv_lists_one_row_per_mismatch(runner):
     lines = result.output.strip().split("\n")
     assert lines[0].startswith("word,")
     assert len(lines) == 2
+
+
+def test_sweep_human_lists_at_most_twenty_of_each_list_and_counts_the_rest(runner):
+    """Mismatches and bound violations each show their first 20, then how many more there are."""
+    result = invoke(
+        runner, "sweep", "--machine", "m2", "--n-paths", "2",
+        "--lang", "l2_count", "--max-len", "8",
+    )
+    assert result.exit_code == 0
+    report = sweep_compare(build_m2(2), LanguageId.L2_COUNT, 8)
+    assert len(report.mismatches) == len(report.bound_violations) == 70
+    lines = result.output.splitlines()
+    assert lines[:3] == [
+        "machine m2 (N=2) vs L2_COUNT, words up to length 8",
+        "  words checked : 511",
+        "  mismatches    : 70",
+    ]
+    mismatches, violations = lines[3:24], lines[25:]
+    for listed, found in ((mismatches, report.mismatches), (violations, report.bound_violations)):
+        assert len(listed) == 21
+        assert [line.split(":")[0] for line in listed[:20]] == [f"    {m.word!r}" for m in found[:20]]
+        assert listed[20] == "    ... and 50 more"
+    assert mismatches[0] == "    '': machine rejects (p_accept=0.000000), oracle accepts"
+    assert lines[24] == "  bound violations: 70"
+    assert violations[0] == ("    '': wanted member accepted with probability 1,"
+                             " got p_accept=0.000000 p_reject=1.000000")
+
+
+def test_qft_human_prints_one_line_per_row(runner):
+    result = invoke(runner, "qft", "--n", "3")
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[0] == "Fourier acceptance matrix for N=3:"
+    matrix = qft_matrix(3)
+    assert len(lines) == 1 + len(matrix)
+    for line, row in zip(lines[1:], matrix):
+        cells = line[2:].split("  ")
+        assert line.startswith("  ") and len(cells) == len(row)
+        assert all(re.fullmatch(r"[+-]\d\.\d{6}[+-]\d\.\d{6}i", cell) for cell in cells), line
+        assert [complex(cell[:-1] + "j") for cell in cells] == pytest.approx(list(row), abs=1e-6)
 
 
 def test_qft_structured_payload(runner):

@@ -15,8 +15,12 @@ flag agrees and every deviation agrees to 1e-12 (unitarity bit for bit).
 from __future__ import annotations
 
 import copy
+import gc
 import math
 import pickle
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from functools import partial
 from unittest import mock
@@ -329,14 +333,17 @@ def test_stepping_another_word_replaces_the_kept_step_tables(make, first, second
     vector = initial_vector(spec, first)
     once = step(spec, first, vector).data
     machine = core._machine(spec)
-    kept = machine.step_tables
-    assert np.array_equal(step(spec, first, vector).data, once) and machine.step_tables is kept
+    word, kept = machine.stepped
+    assert word == first
+    assert np.array_equal(step(spec, first, vector).data, once) and machine.stepped[1] is kept
     other = step(spec, second, initial_vector(spec, second)).data
-    assert machine.step_word == second and machine.step_tables is not kept
+    word, tables = machine.stepped
+    assert word == second and tables is not kept
     fresh = make()
     assert np.array_equal(other, step(fresh, second, initial_vector(fresh, second)).data)
     assert np.array_equal(step(spec, first, vector).data, once)
-    assert machine.step_word == first and machine.step_tables is not kept
+    word, tables = machine.stepped
+    assert word == first and tables is not kept
 
 
 def test_relabels_that_meet_stay_tuples(m2_10, m3_5):
@@ -750,7 +757,7 @@ def test_a_run_table_holds_one_shared_row_per_cell():
                     assert [entry[0] if entry.__class__ is Mover else entry
                             for entry in row] == steps
             assert table[cell] is row, cell
-        for cell, wrapping, kept in zip((0, -1), machine.wrapping, machine.markers[len(table)]):
+        for cell, wrapping, kept in zip((0, -1), machine.wrapping, machine.marker_rows(len(table))):
             steps = machine.steps[symbols[cell]]
             assert table[cell] is kept and kept is not steps and len(kept) == len(steps)
             rebuilt = [source for source, entry in enumerate(kept) if entry != steps[source]]
@@ -770,12 +777,13 @@ def test_words_of_one_length_share_the_marker_rows():
     machine = core._machine(spec)
     first, second = _run_table(spec, "aabbcc"), _run_table(spec, "cbacba")
     step(spec, "abcabc", initial_vector(spec, "abcabc"))
-    for cell, kept in zip((0, -1), machine.markers[8]):
+    _, stepped = machine.stepped
+    assert machine.marker_rows.cache_info().currsize == 1
+    for cell, kept in zip((0, -1), machine.marker_rows(8)):
         assert isinstance(kept, tuple)
-        assert first[cell] is kept and second[cell] is kept and machine.step_tables[cell] is kept
-    assert list(machine.markers) == [8]
-    assert _run_table(spec, "abcab")[0] is not machine.markers[8][0]
-    assert list(machine.markers) == [8, 7]
+        assert first[cell] is kept and second[cell] is kept and stepped[cell] is kept
+    assert _run_table(spec, "abcab")[0] is not machine.marker_rows(8)[0]
+    assert machine.marker_rows.cache_info().currsize == 2
 
 
 def test_the_kept_marker_rows_equal_fresh_ones_after_runs_and_steps():
@@ -786,28 +794,98 @@ def test_the_kept_marker_rows_equal_fresh_ones_after_runs_and_steps():
     """
     spec = build_m3(5)
     machine = core._machine(spec)
-    for word in ("a", "ab", "aabbcc", "a" * 5 + "b" * 6 + "c" * 5, "c" * 9 + "b" * 4, "cba" * 4):
+    words = ("a", "ab", "aabbcc", "a" * 5 + "b" * 6 + "c" * 5, "c" * 9 + "b" * 4, "cba" * 4)
+    for word in words:
         assert run(spec, word, max_steps=7) == _unjumped(spec, word, max_steps=7)
         vector = initial_vector(spec, word)
         for _ in range(3):
             _, _, vector = measure(spec, step(spec, word, vector))
-    assert len(machine.markers) == 6
+    assert machine.marker_rows.cache_info().currsize == 6
     fresh = core._machine(build_m3(5))
-    for length, rows in machine.markers.items():
-        assert rows == core._marker_rows(fresh, length)
+    for length in {len(word) + 2 for word in words}:
+        assert machine.marker_rows(length) == core._marker_rows(
+            fresh.steps, fresh.wrapping, fresh.states, length)
+    assert machine.marker_rows.cache_info().currsize == 6
 
 
 def test_the_marker_rows_of_at_most_a_bound_of_lengths_are_kept():
-    """Past ``_MARKER_LENGTHS`` tape lengths the oldest is dropped, and runs are unchanged."""
+    """Past ``_MARKER_LENGTHS`` tape lengths the least recently used one is dropped.
+
+    Runs are unchanged when the kept rows are cleared and built again.
+    """
     spec = build_m2(10)
     machine = core._machine(spec)
+    cache = machine.marker_rows
     bound = core._MARKER_LENGTHS
     words = ["(" * k + ")" * k for k in range(bound + 5)]
-    results = [run(spec, word, trace=True) for word in words]
-    assert list(machine.markers) == [len(word) + 2 for word in words[-bound:]]
-    machine.markers.clear()
+    results = []
+    for word in words:
+        results.append(run(spec, word, trace=True))
+        assert cache.cache_info().currsize <= bound
+    assert cache.cache_info().currsize == bound
+    # the oldest kept length, used again, outlives the next length built,
+    # and the second oldest is dropped in its place
+    run(spec, words[-bound])
+    run(spec, "()" * (bound + 5))
+    hits, misses, _, _ = cache.cache_info()
+    cache(len(words[-bound]) + 2)
+    assert cache.cache_info()[:2] == (hits + 1, misses)
+    cache(len(words[1 - bound]) + 2)
+    assert cache.cache_info()[:2] == (hits + 1, misses + 1)
+    cache.cache_clear()
     assert [run(spec, word, trace=True) for word in reversed(words)] == results[::-1]
-    assert len(machine.markers) == bound
+    assert cache.cache_info().currsize == bound
+
+
+def test_a_dropped_spec_frees_its_tables_without_the_cycle_collector():
+    """The cached marker rows and the kept ``step`` tables hold no reference back to the machine."""
+    spec = build_m2(5)
+    for word in ["()" * k for k in range(core._MARKER_LENGTHS + 4)]:
+        run(spec, word)
+        step(spec, word, initial_vector(spec, word))
+    machine = weakref.ref(core._machine(spec))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del spec
+        assert machine() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_threads_sharing_one_machine_get_the_single_threaded_results():
+    """Runs and ``step`` from four threads on one spec give what one thread gives, and never raise.
+
+    The runs cycle through more tape lengths than ``_MARKER_LENGTHS``, so
+    the kept marker rows are dropped and built again while other threads
+    read them, and ``step`` alternates two words of one length, whose
+    tables fit each other's vectors.  A switch interval of a microsecond
+    makes the threads change hands inside those updates.
+    """
+    words = ["(" * k + ")" * k for k in range(core._MARKER_LENGTHS + 14)]
+    stepped = ("(())()", "()()()")
+    fresh = build_m2(3)
+    runs = [run(fresh, word) for word in words]
+    steps = [step(fresh, word, initial_vector(fresh, word)).data for word in stepped]
+    spec = build_m2(3)
+
+    def work(start: int) -> None:
+        # each thread starts its cycle elsewhere, so they build different lengths at once
+        order = list(range(start, len(words))) + list(range(start))
+        for _ in range(300):
+            assert [run(spec, words[i]) for i in order] == [runs[i] for i in order]
+            for word, data in zip(stepped, steps):
+                assert np.array_equal(step(spec, word, initial_vector(spec, word)).data, data)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for done in [pool.submit(work, 7 * thread) for thread in range(4)]:
+                done.result()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_each_full_step_advances_only_the_keys_due_at_it(m3_5):
