@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import RunResult, run
+from .core import run
 from .errors import NondeterministicPdaError
 from .machine import TwoWayQfaSpec
 

@@ -38,9 +38,10 @@ own clocks, one table read a step, and a full step takes only the keys
 due at it.  A mover (``_movers``) waits a fixed number of steps on each
 letter and moves on in its own state, as each path of an N-path stage
 does, so the steps it takes to cross the word are a sum over the word's
-letter counts; the machine keeps each letter's row with its movers put
-in, a run puts them on the first input cell each way (``_stamp_movers``),
-and a walk that meets one there crosses the whole word in one read.
+letter counts.  Each letter's row holds its relabel as a ``Mover``, an int
+that ``step`` adds as any other, and a walk that meets one on the first
+input cell along its move crosses the whole word in one read.  So ``run``
+and ``step`` read one table, and neither writes into it.
 
 The dense engine orders the rows of the array by halting role, running
 states first, and the machine keeps each symbol's matrix dense in that
@@ -57,6 +58,7 @@ order around the product, in which it reads every row and every column.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heappop, heappush
@@ -163,17 +165,20 @@ def _nonzeros(data: np.ndarray) -> tuple[list[int], list[int], list[complex]]:
     return rows.tolist(), cols.tolist(), data[rows, cols].tolist()
 
 
-class Mover(tuple):
-    """A pure relabel from a mover, as a run's table holds it on the first input cell of its way.
+class Mover(int):
+    """A pure relabel from a mover, as every input letter's row of a machine holds it.
 
-    The fields are (delta, move, waits).  delta is the int key delta it
-    stands for and move the mover's head move; reading input symbol x, the
-    mover is back in its state, one cell along move, after waits[x - 1]
-    steps.  As a tuple subclass it fails the frontier's int test, so a walk
-    stops on it and crosses the word.
+    Its value is the int key delta it stands for, so everywhere but a walk
+    it is that relabel.  move is the mover's head move; reading input
+    symbol x, the mover is back in its state, one cell along move, after
+    waits[x - 1] steps.  Its class is not int, so a walk stops on it and,
+    on the first input cell along move, crosses the word.
     """
 
-    __slots__ = ()
+    def __new__(cls, delta: int, move: int, waits: tuple[int, ...]):
+        mover = super().__new__(cls, delta)
+        mover.move, mover.waits = move, waits
+        return mover
 
 
 def _movers(steps: list[list], moves: list[int]) -> dict[int, tuple[int, ...]]:
@@ -215,16 +220,15 @@ class _Machine:
     """The engine tables of one spec (see the module docstring).
 
     sparse picks the engine.  The frontier reads steps (a row of step
-    entries per tape symbol), letter_rows (each input letter's row of
+    entries per tape symbol, in which each input symbol's row holds the
+    ``Mover`` of each mover), letter_rows (each input letter's row of
     steps), wrapping (per marker, the sources with a transition that leaves
-    the tape, and a 1 for each that does), marker_rows (``_marker_rows`` of
-    a tape length, cached; it holds steps and wrapping, not the machine)
-    and crossing (per direction, right then left, a copy of each input
-    letter's row with the ``Mover`` of each mover that moves that way put
-    in, or no rows if none does); the dense engine reads rows (the state
-    order), the running and accepting counts, and each state's move and
-    symbol's matrix in that order.  stepped is the pair of the last word
-    ``step`` took and its tables, replaced in one assignment.
+    the tape, and a 1 for each that does) and marker_rows (``_marker_rows``
+    of a tape length, cached; it holds steps and wrapping, not the
+    machine); the dense engine reads rows (the state order), the running
+    and accepting counts, and each state's move and symbol's matrix in that
+    order.  stepped is the pair of the last word ``step`` took and its
+    tables, replaced in one assignment.
     """
 
     def __init__(self, spec: TwoWayQfaSpec):
@@ -261,18 +265,12 @@ class _Machine:
                 self.wrapping[symbol == last].extend(
                     (source, tuple(off)) for source, off in enumerate(off_tape) if any(off)
                 )
+        for s, waits in _movers(self.steps, moves).items():
+            for steps in self.steps[1:-1]:
+                steps[s] = Mover(steps[s], moves[s], waits)
         self.letter_rows = {letter: self.steps[i] for letter, i in self.symbol_index.items()}
         self.marker_rows = lru_cache(_MARKER_LENGTHS)(
             partial(_marker_rows, self.steps, self.wrapping, n))
-        self.crossing = ({}, {})
-        movers = _movers(self.steps, moves)
-        for right, crossing in zip((True, False), self.crossing):
-            ways = {s: waits for s, waits in movers.items() if (moves[s] > 0) is right}
-            if ways:
-                for letter, steps in self.letter_rows.items():
-                    crossed = crossing[letter] = list(steps)
-                    for s, waits in ways.items():
-                        crossed[s] = Mover((steps[s], moves[s], waits))
 
 
 def _machine(spec: TwoWayQfaSpec) -> _Machine:
@@ -409,20 +407,6 @@ def _marker_rows(steps: list[list], wrapping: tuple[list, list], states: int,
     return tuple(rows)
 
 
-def _stamp_movers(machine: _Machine, word: str, table: list) -> None:
-    """Put the movers on the first input cell each way of the table of `word`.
-
-    Movers that move right sit on cell 1 and movers that move left on cell
-    L - 2, in the machine's copy of the row of the letter there.  On a word
-    of one letter the two cells are one, and the right movers, put in last,
-    sit on it alone if there are any.  The empty word has no input cell,
-    and no row is kept for the letter "".
-    """
-    right, left = machine.crossing
-    table[-2] = left.get(word[-1:], table[-2])
-    table[1] = right.get(word[:1], table[1])
-
-
 class _Evolution:
     """One-step evolution of a whole amplitude array, one matmul per tape symbol.
 
@@ -504,13 +488,14 @@ class _Frontier:
     depends on the budget: a run cut at step b has the first b residuals
     of the whole run.
 
-    In the table of a run, cells 1 and L - 2 may hold ``Mover`` entries
-    (``_stamp_movers``), and counts holds the word's count of each input
-    symbol.  A walk that meets a mover there moves it to the opposite
-    marker, L - 2 cells on, in the sum of its waits times those counts (its
-    span, which spans keeps by key from the first walk that meets it on),
-    if that many steps are left in the budget, and else takes its relabel.
-    A walk never stops on a mover, so ``advance`` never reads one.
+    The input rows of the table hold ``Mover`` entries, and counts holds
+    the word's count of each input symbol.  A walk that meets a mover on
+    the first input cell along its move, cell 1 for a right mover and L - 2
+    for a left one, moves it to the opposite marker, L - 2 cells on, in the
+    sum of its waits times those counts (its span, which spans keeps by key
+    from the first walk that meets it on), if that many steps are left in
+    the budget; anywhere else, or with fewer steps left, it takes its
+    relabel.  ``advance`` adds a mover as the int it is.
     """
 
     __slots__ = ("table", "states", "size", "live", "buckets", "dues", "now",
@@ -551,13 +536,13 @@ class _Frontier:
             cell, state = divmod(key - base, n)
             entry = table[cell][state]
             key += size
-            if entry.__class__ is int:
-                running[key + entry] = amplitude
-            else:
+            if entry.__class__ is tuple:
                 for delta, weight, role in entry:
                     target = sums[role]
                     k = key + delta
                     target[k] = target.get(k, 0j) + weight * amplitude
+            else:
+                running[key + entry] = amplitude
         self.residual -= gone
         return sums
 
@@ -578,7 +563,8 @@ class _Frontier:
         running, accept, reject = self.advance(due)
         taken, self.now = due + 1 - self.now, due + 1
         counts, spans = self.counts, self.spans
-        # the keys a mover crosses the L - 2 input cells by
+        # the keys a mover crosses the L - 2 input cells by, which is also
+        # the first key of cell L - 2
         crossing = size - 2 * n
         kept = 0.0
         for key, amplitude in running.items():
@@ -597,17 +583,19 @@ class _Frontier:
                     break
                 if entry.__class__ is not Mover:
                     break
-                # the whole word within the budget, else one relabel; the
-                # mover on this key has one span for the whole run
-                delta, move, waits = entry
-                if (span := spans.get(key)) is None:
-                    span = spans[key] = sum(map(mul, waits, counts))
-                if span <= end - t:
-                    key += move * crossing
-                    t += span
-                else:
-                    key += delta
-                    t += 1
+                # from the first input cell along its move, the whole word
+                # within the budget, else one relabel; the mover on this key
+                # has one span for the whole run
+                move = entry.move
+                if key < 2 * n if move > 0 else key >= crossing:
+                    if (span := spans.get(key)) is None:
+                        span = spans[key] = sum(map(mul, entry.waits, counts))
+                    if span <= end - t:
+                        key += move * crossing
+                        t += span
+                        continue
+                key += entry
+                t += 1
             key += t * size
             live[key] = amplitude
             kept += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
@@ -702,7 +690,8 @@ def run(
 
     Stops once the residual drops below halt_threshold or, failing that,
     after max_steps (default 64 * n_paths * (n + 2)); exhausting the budget
-    is reported via halted=False, not raised.  A residual that overflows to
+    is reported via halted=False, not raised.  max_steps must be an integer
+    of at least 1, and anything else raises ValueError.  A residual that overflows to
     a non-finite value also ends the run with halted=False.
 
     Every step of a run takes the engine the machine's tables fixed, as
@@ -714,6 +703,10 @@ def run(
     """
     if max_steps is None:
         max_steps = MAX_STEPS_FACTOR * spec.n_paths * (len(word) + 2)
+    try:
+        max_steps = operator.index(max_steps)
+    except TypeError:
+        raise ValueError(f"max_steps must be an integer, not {max_steps!r}") from None
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     if not 0 < halt_threshold < 1:
@@ -724,7 +717,6 @@ def run(
         # each input symbol is one letter, and counting letters in a str is
         # much faster than counting ints in a list
         counts = [word.count(letter) for letter in machine.symbol_index]
-        _stamp_movers(machine, word, table)
         # the initial configuration sits at position 0, so its key is its state
         initial = [spec.state_index(spec.initial_state)]
         engine = _Frontier(table, initial, [1 + 0j], machine.states, counts, halt_threshold)

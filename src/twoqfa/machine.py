@@ -159,9 +159,14 @@ class TwoWayQfaSpec:
         if set(self.symbol_unitaries) != set(self.tape_alphabet):
             raise ValueError("one matrix per tape symbol is required")
         n = len(self.states)
+        given = self.symbol_unitaries
+        if isinstance(given, _DenseView):
+            # another spec's view, as dataclasses.replace passes it: its
+            # columns, not the S x S arrays a lookup would build
+            given = given._columns
         self._columns: dict[str, Columns] = {}
         for symbol in self.tape_alphabet:
-            matrix = self.symbol_unitaries[symbol]
+            matrix = given[symbol]
             if not isinstance(matrix, Columns) and np.shape(matrix) == (n, n):
                 flat = np.transpose(matrix).ravel()
                 keys = np.flatnonzero(flat)

@@ -26,13 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .machine import (
-    LEFT_MARKER,
-    RIGHT_MARKER,
-    PartialTable,
-    TwoWayQfaSpec,
-    complete_partial_table,
-)
+from .machine import PartialTable, TwoWayQfaSpec, complete_partial_table
 
 Row = tuple[str, str, str, complex]
 

@@ -155,13 +155,23 @@ def test_run_reports_budget_exhaustion_without_raising(m2_2):
     assert result.p_residual > 0
 
 
-def test_run_guards_step_budget_and_threshold(m1):
-    with pytest.raises(ValueError):
-        run(m1, "aa", max_steps=0)
-    with pytest.raises(ValueError):
-        run(m1, "aa", halt_threshold=0.0)
-    with pytest.raises(ValueError):
-        run(m1, "aa", halt_threshold=1.5)
+def test_run_guards_step_budget_and_threshold(m1, fourier5):
+    """On either engine the budget is an integer of at least 1, of any int type, and nothing else.
+
+    A float such as 2.5 or 1e9 raises ValueError, neither rounded up by one
+    engine nor a raw TypeError from the other.
+    """
+    for spec in (m1, fourier5):
+        assert core._machine(spec).sparse is (spec is m1)
+        word = spec.input_alphabet[0] * 2
+        for budget in (0, -3, 2.5, 3.0, 1e9, "3", [3]):
+            with pytest.raises(ValueError, match="max_steps must be"):
+                run(spec, word, max_steps=budget)
+        assert run(spec, word, max_steps=np.int64(3)) == run(spec, word, max_steps=3)
+        with pytest.raises(ValueError):
+            run(spec, word, halt_threshold=0.0)
+        with pytest.raises(ValueError):
+            run(spec, word, halt_threshold=1.5)
 
 
 def test_trace_is_off_by_default(m1):

@@ -358,7 +358,7 @@ def test_relabels_that_meet_stay_tuples(m2_10, m3_5):
             assert isinstance(entries[1], tuple) and isinstance(entries[2], tuple)
     for spec, ints in ((m2_10, 446), (m3_5, 284)):
         steps = core._machine(spec).steps
-        assert sum(entry.__class__ is int for entries in steps for entry in entries) == ints
+        assert sum(isinstance(entry, int) for entries in steps for entry in entries) == ints
 
 
 def _events(spec, word) -> tuple[core.RunResult, list[int]]:
@@ -559,7 +559,7 @@ def test_relabel_cycles_run_to_the_budget(moves, matrix, word, max_steps):
     spec = _cycling(moves, matrix)
     machine = core._machine(spec)
     assert machine.sparse
-    assert all(entry.__class__ is int for entries in machine.steps for entry in entries[:2])
+    assert all(isinstance(entry, int) for entries in machine.steps for entry in entries[:2])
     budget = max_steps or core.MAX_STEPS_FACTOR * (len(word) + 2)
     result = run(spec, word, max_steps=max_steps, trace=True)
     assert result == reference_run(spec, word, max_steps=max_steps, trace=True)
@@ -589,10 +589,30 @@ def _table_reads(spec, word, **options) -> tuple[core.RunResult, int]:
     return result, _CountingTable.reads
 
 
+def _no_movers():
+    """A patch under which a machine's tables are built with no mover in them."""
+    return mock.patch.object(core, "_movers", lambda steps, moves: {})
+
+
 def _unjumped(spec, word, **options) -> core.RunResult:
-    """A run with no mover in its table, so every key walks a step at a time."""
-    with mock.patch.object(core, "_stamp_movers", lambda machine, word, table: None):
-        return run(spec, word, **options)
+    """The same run with no mover in its table, so every key walks a step at a time.
+
+    A copy of a spec leaves its tables out, so the run builds them again.
+    """
+    with _no_movers():
+        return run(copy.copy(spec), word, **options)
+
+
+def _pristine_steps(spec) -> list[list]:
+    """The step rows of `spec` as built with no ``Mover`` put in, as ``_movers`` reads them."""
+    with _no_movers():
+        return core._Machine(spec).steps
+
+
+def _letter_movers(machine) -> dict[str, dict[int, Mover]]:
+    """Per input letter, each state whose entry in the letter's row is a ``Mover``, and that entry."""
+    return {letter: {s: entry for s, entry in enumerate(row) if entry.__class__ is Mover}
+            for letter, row in machine.letter_rows.items()}
 
 
 def _cut_run(spec, word, budget) -> core.RunResult:
@@ -648,8 +668,10 @@ def test_the_paths_of_each_n_path_stage_are_its_movers(m2_10, m3_5):
     m3 |= {f"g_{i}_0": (1, n - i + 2, i + 1) for i in range(1, n + 1)}
     for spec, want in ((m2_10, m2), (m3_5, m3)):
         moves = [spec.head_fn[s] for s in spec.states]
-        movers = core._movers(core._machine(spec).steps, moves)
+        movers = core._movers(_pristine_steps(spec), moves)
         assert {spec.states[s]: waits for s, waits in movers.items()} == want
+        for stamped in _letter_movers(core._machine(spec)).values():
+            assert {s: entry.waits for s, entry in stamped.items()} == movers
     assert {m3_5.head_fn[state] for state in m3 if state[0] == "m"} == {1}
     assert {m3_5.head_fn[state] for state in m3 if state[0] == "g"} == {-1}
 
@@ -692,8 +714,7 @@ def test_a_long_stay_chain_is_followed_once_a_symbol():
                           "b": np.eye(n)[:, paced], "$": np.eye(n)[:, ending]},
         head_fn={state: int(state == "s0") for state in states},
     )
-    machine = core._machine(spec)
-    rows = [_CountingTable(row) for row in machine.steps]
+    rows = [_CountingTable(row) for row in _pristine_steps(spec)]
     _CountingTable.reads = 0
     assert core._movers(rows, [1] + [0] * (n - 1)) == {0: (chain + 1, chain + 1)}
     assert _CountingTable.reads == 2 * (chain + 1)
@@ -729,15 +750,23 @@ def test_every_budget_on_a_dyck_word_ends_the_run_at_its_step(name, word, reques
 def test_a_run_table_holds_one_shared_row_per_cell():
     """The table of a run is one row a tape cell, not S entries copied for each cell.
 
-    Every input cell holds its symbol's row of the machine's steps itself,
-    but cells 1 and L - 2, which hold the machine's copy of that row with
-    the movers that go right, or left, put in.  Only the two marker rows
+    Every input cell, cells 1 and L - 2 included, holds its symbol's row of
+    the machine's steps itself, in which each mover's relabel is its
+    ``Mover``, equal to the int it stands for.  Only the two marker rows
     are copies, made once per tape length and kept on the machine, in
     which the entries that move a head off the tape are rebuilt.
     """
     spec = build_m3(5)
     machine = core._machine(spec)
-    movers = core._movers(machine.steps, [spec.head_fn[s] for s in spec.states])
+    moves = [spec.head_fn[s] for s in spec.states]
+    pristine = _pristine_steps(spec)
+    movers = core._movers(pristine, moves)
+    for letter, stamped in _letter_movers(machine).items():
+        assert {s: (entry.move, entry.waits) for s, entry in stamped.items()} == {
+            s: (moves[s], waits) for s, waits in movers.items()}
+        row = machine.letter_rows[letter]
+        assert row is machine.steps[machine.symbol_index[letter]]
+        assert row == pristine[machine.symbol_index[letter]]
     for word in ("a" * 21 + "b" * 20 + "c" * 22 + "bca", "c" + "a" * 5 + "b" * 7 + "c" * 9):
         with mock.patch.object(core, "_Frontier", wraps=core._Frontier) as frontier:
             run(spec, word)
@@ -746,17 +775,8 @@ def test_a_run_table_holds_one_shared_row_per_cell():
         assert counts == [word.count(letter) for letter in "abc"]
         assert len(table) == len(word) + 2
         for cell in range(1, len(word) + 1):
-            row = steps = machine.steps[symbols[cell]]
-            for end, crossing, right in ((1, machine.crossing[0], True),
-                                         (len(word), machine.crossing[1], False)):
-                if cell == end:
-                    row = crossing[word[cell - 1]]
-                    ways = {s for s, entry in enumerate(row) if entry.__class__ is Mover}
-                    assert ways == {s for s in movers
-                                    if (spec.head_fn[spec.states[s]] > 0) is right}
-                    assert [entry[0] if entry.__class__ is Mover else entry
-                            for entry in row] == steps
-            assert table[cell] is row, cell
+            assert table[cell] is machine.letter_rows[word[cell - 1]], cell
+            assert table[cell] is machine.steps[symbols[cell]], cell
         for cell, wrapping, kept in zip((0, -1), machine.wrapping, machine.marker_rows(len(table))):
             steps = machine.steps[symbols[cell]]
             assert table[cell] is kept and kept is not steps and len(kept) == len(steps)
@@ -787,9 +807,9 @@ def test_words_of_one_length_share_the_marker_rows():
 
 
 def test_the_kept_marker_rows_equal_fresh_ones_after_runs_and_steps():
-    """No run or ``step`` writes into the marker rows a machine keeps.
+    """No run or ``step`` writes into the marker rows or the letter rows a machine keeps.
 
-    The movers sit on cells 1 and L - 2, next to the marker cells, and on
+    A mover crosses from cell 1 or L - 2, next to the marker cells, and on
     a word of one letter those are one cell.
     """
     spec = build_m3(5)
@@ -802,6 +822,10 @@ def test_the_kept_marker_rows_equal_fresh_ones_after_runs_and_steps():
             _, _, vector = measure(spec, step(spec, word, vector))
     assert machine.marker_rows.cache_info().currsize == 6
     fresh = core._machine(build_m3(5))
+    assert machine.steps == fresh.steps
+    assert all(entry.__class__ is fresh_entry.__class__
+               for row, fresh_row in zip(machine.steps, fresh.steps)
+               for entry, fresh_entry in zip(row, fresh_row))
     for length in {len(word) + 2 for word in words}:
         assert machine.marker_rows(length) == core._marker_rows(
             fresh.steps, fresh.wrapping, fresh.states, length)
@@ -1019,7 +1043,7 @@ def test_an_input_symbol_is_one_letter():
     steps and abab in 8 instead of 4 and 6.
     """
     spec = _one_mover(("a", "b"))
-    assert core._movers(core._machine(spec).steps, [1, 0, 0, 0]) == {0: (1, 1)}
+    assert core._movers(_pristine_steps(spec), [1, 0, 0, 0]) == {0: (1, 1)}
     for word, steps in (("ab", 4), ("abab", 6)):
         result = run(spec, word, trace=True)
         assert (result.steps, result.halted, result.p_accept) == (steps, True, 1.0)
@@ -1042,12 +1066,62 @@ def test_a_mover_crosses_the_word_in_one_read(word):
     that ends before the right marker walks the cells instead.
     """
     spec = _pacing()
-    machine = core._machine(spec)
-    assert core._movers(machine.steps, [1, 0, 0, 0]) == {0: (3, 3)}
-    for crossed in machine.crossing[0].values():
-        assert crossed[0] == (1, 1, (3, 3)) and isinstance(crossed[0], Mover)
-    assert machine.crossing[1] == {}
+    assert core._movers(_pristine_steps(spec), [1, 0, 0, 0]) == {0: (3, 3)}
+    for stamped in _letter_movers(core._machine(spec)).values():
+        assert list(stamped) == [0]
+        assert (stamped[0], stamped[0].move, stamped[0].waits) == (1, 1, (3, 3))
     _assert_paced_run(spec, word, 3 + 1 + 2)
+
+
+def _there_and_back() -> TwoWayQfaSpec:
+    """s0 moves right and s1 left, each waiting 2 steps a letter; $ turns s0 into s1, # accepts s1.
+
+    On every input symbol s0 and s1 swap with the stay states s2 and s3,
+    which swap back, so both are movers; s0 starts on #, which keeps it, so
+    the whole mass accepts at step 4 * n + 3 on a word of n letters.
+    """
+    states = ("s0", "s1", "s2", "s3", "acc")
+    letter = np.eye(5)[:, [2, 3, 0, 1, 4]]
+    return TwoWayQfaSpec(
+        states=states,
+        input_alphabet=("a", "b"),
+        initial_state="s0",
+        accept_states=frozenset({"acc"}),
+        reject_states=frozenset(),
+        symbol_unitaries={"#": np.eye(5)[:, [0, 4, 2, 3, 1]], "a": letter, "b": letter,
+                          "$": np.eye(5)[:, [1, 0, 2, 3, 4]]},
+        head_fn={"s0": 1, "s1": -1, "s2": 0, "s3": 0, "acc": 0},
+    )
+
+
+@pytest.mark.parametrize("word", ["a", "b"])
+def test_a_word_of_one_letter_is_crossed_both_ways(word):
+    """On a word of one letter, cells 1 and L - 2 are one, and a mover crosses from it either way.
+
+    s0 crosses right from cell 1 and s1 left from cell L - 2, each in one
+    read, and every budget cuts the run as the run with no movers.
+    """
+    spec = _there_and_back()
+    n = len(spec.states)
+    assert {s: entry.move for s, entry in _letter_movers(core._machine(spec))["a"].items()} == {
+        0: 1, 1: -1}
+    steps = 7
+    frontier, frontiers = core._Frontier, []
+
+    def kept(*args):
+        frontiers.append(frontier(*args))
+        return frontiers[-1]
+
+    with mock.patch.object(core, "_Frontier", kept):
+        whole = run(spec, word, trace=True)
+    assert (whole.steps, whole.halted, whole.p_accept) == (steps, True, 1.0)
+    # s0 and s1 each crossed from cell 1, in their wait of 2 steps
+    assert frontiers[0].spans == {n + 0: 2, n + 1: 2}
+    assert whole == _unjumped(spec, word, trace=True)
+    assert whole == reference_run(spec, word, trace=True)
+    for budget in range(1, steps + 1):
+        assert run(spec, word, max_steps=budget, trace=True) == _unjumped(
+            spec, word, max_steps=budget, trace=True)
 
 
 @pytest.mark.parametrize(
@@ -1060,9 +1134,8 @@ def test_jumps_end_on_block_edges(word):
     wherever the blocks start and end.
     """
     spec = _handing_over()
-    machine = core._machine(spec)
-    assert core._movers(machine.steps, [1, 0, 0, 0, 1, 0, 0, 0]) == {}
-    assert machine.crossing == ({}, {})
+    assert core._movers(_pristine_steps(spec), [1, 0, 0, 0, 1, 0, 0, 0]) == {}
+    assert _letter_movers(core._machine(spec)) == {"a": {}, "b": {}}
     # three reads on the left marker and on each input cell, two on the
     # right marker: the walk's and the full step's
     _assert_paced_run(spec, word, 3 * (len(word) + 1) + 2)

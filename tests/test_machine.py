@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +139,13 @@ def test_repeated_row_is_rejected():
     assert "conflicting rows" in str(info.value) and "'x'" in str(info.value)
 
 
+def test_row_naming_an_unknown_state_is_rejected():
+    for row in (("u9", "x", "u1", 1), ("u0", "x", "u9", 1)):
+        table = _tiny_table([row])
+        with pytest.raises(TableCompletionError, match="unknown state: '.*' -> '.*'"):
+            complete_partial_table(table)
+
+
 def test_row_under_a_symbol_outside_the_tape_is_rejected():
     table = _tiny_table([("u0", "y", "u1", 1)])
     with pytest.raises(TableCompletionError) as info:
@@ -215,25 +224,32 @@ def test_spec_constructor_rejects_malformed_machines(m1):
     )
     TwoWayQfaSpec(**good)
 
-    for bad in (
-        {"states": ("u0", "u0")},
-        {"initial_state": "zz"},
-        {"accept_states": frozenset({"u0"}), "reject_states": frozenset({"u0"})},
-        {"head_fn": {"u0": 0}},
-        {"head_fn": {"u0": 2, "u1": 0}},
-        {"input_alphabet": ("#",)},
-        {"input_alphabet": ("x", "xy")},
-        {"input_alphabet": ("",)},
-        {"n_paths": 0},
-        {"symbol_unitaries": {s: np.eye(3, dtype=complex) for s in ("#", "x", "$")}},
-        {"symbol_unitaries": {"#": np.eye(2, dtype=complex)}},
-        {"symbol_unitaries": {**good["symbol_unitaries"], "x": np.full((2, 2), np.nan)}},
-        {"symbol_unitaries": {**good["symbol_unitaries"], "$": np.full((2, 2), np.inf)}},
-        {"padded_entries": (("y", "u0"),)},
-        {"padded_entries": (("x", "u9"),)},
-        {"padded_entries": (("x", "u0"), ("x", "u0"))},
+    for bad, message in (
+        ({"states": ()}, "state list is empty"),
+        ({"states": ("u0", "u0")}, "duplicate state names"),
+        ({"initial_state": "zz"}, "initial state 'zz' not a state"),
+        ({"accept_states": frozenset({"zz"})}, "accept/reject states must be states"),
+        ({"reject_states": frozenset({"u1", "zz"})}, "accept/reject states must be states"),
+        ({"accept_states": frozenset({"u0"}), "reject_states": frozenset({"u0"})}, "overlap"),
+        ({"head_fn": {"u0": 0}}, "total over the states"),
+        ({"head_fn": {"u0": 2, "u1": 0}}, "must be -1, 0 or \\+1"),
+        ({"input_alphabet": ("#",)}, "may not contain the marker '#'"),
+        ({"input_alphabet": ("x", "x")}, "duplicate input symbols"),
+        ({"input_alphabet": ("x", "xy")}, "'xy' is not exactly one character"),
+        ({"input_alphabet": ("",)}, "'' is not exactly one character"),
+        ({"n_paths": 0}, "n_paths must be at least 1"),
+        ({"symbol_unitaries": {s: np.eye(3, dtype=complex) for s in ("#", "x", "$")}},
+         "matrix for '#' is not 2x2"),
+        ({"symbol_unitaries": {"#": np.eye(2, dtype=complex)}}, "one matrix per tape symbol"),
+        ({"symbol_unitaries": {**good["symbol_unitaries"], "x": np.full((2, 2), np.nan)}},
+         "matrix for 'x' has a non-finite entry"),
+        ({"symbol_unitaries": {**good["symbol_unitaries"], "$": np.full((2, 2), np.inf)}},
+         "matrix for '\\$' has a non-finite entry"),
+        ({"padded_entries": (("y", "u0"),)}, "is not a symbol and state"),
+        ({"padded_entries": (("x", "u9"),)}, "is not a symbol and state"),
+        ({"padded_entries": (("x", "u0"), ("x", "u0"))}, "listed twice"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             TwoWayQfaSpec(**{**good, **bad})
 
 
@@ -266,6 +282,25 @@ def test_spec_keeps_its_own_copy_of_the_matrices():
         view[0, 0] = 5
     with pytest.raises(TypeError):
         spec.symbol_unitaries["x"] = np.eye(2)
+
+
+def test_replace_copies_a_spec_without_dense_matrices(m3_20):
+    """``dataclasses.replace`` passes a spec's own view, whose columns the copy takes as they are.
+
+    Looking the matrices up would build every S x S array; with 708 states
+    each is 8 MB, and at N = 100 it would be 3.8 GB.
+    """
+    states = len(m3_20.states)
+    tracemalloc.start()
+    try:
+        renamed = replace(m3_20, name="x")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < states * states * 16 / 4
+    assert renamed.name == "x" and renamed != m3_20
+    assert replace(renamed, name=m3_20.name) == m3_20
+    assert all(renamed._columns[s] is m3_20._columns[s] for s in m3_20.tape_alphabet)
 
 
 def test_columns_keep_each_nonzero_once_in_row_order():

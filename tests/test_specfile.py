@@ -96,12 +96,44 @@ def _minimal_text() -> str:
         (lambda t: t.replace("\nalphabet a b\n", "\nalphabet a b ab\n"), "one character"),
         (lambda t: t.replace("\nhead q0 +1\n", "\nhead q0 +1\nhead q0 -1\n"), "twice"),
         (lambda t: t.replace("\nrow q0 q0 1.0 0.0\n", "\nrow q0 q0 0.0 0.0\nrow q0 q0 1.0 0.0\n", 1), "twice"),
+        (lambda t: t.replace("\nmatrix #\n", "\npadded # q0 q1\nmatrix #\n"), "bad padded line"),
+        (lambda t: t.replace("\nmatrix #\n", "\npadded #\nmatrix #\n"), "bad padded line"),
+        (lambda t: t.split("\nstates ")[0] + "\nend\n", "are required"),
+        (lambda t: t.replace("\ninitial q0\n", "\n"), "are required"),
+        (lambda t: t.replace("\nalphabet a b\n", "\n"), "are required"),
     ],
 )
 def test_malformed_text_is_rejected(mangle, hint):
     with pytest.raises(SpecFormatError) as exc:
         loads_spec(mangle(_minimal_text()))
     assert hint in str(exc.value).lower() or hint == "initial"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"name": "m 1"}, "name 'm 1' cannot be written"),
+        ({"states": ("q0", "q\t1")}, r"state 'q\\t1' cannot be written"),
+        ({"input_alphabet": ("a", " ")}, "symbol ' ' cannot be written"),
+    ],
+    ids=["name", "state", "symbol"],
+)
+def test_a_token_with_whitespace_cannot_be_written(change, message):
+    """The text format splits lines on whitespace, so no name, state or symbol may hold any."""
+    states = change.get("states", ("q0", "q1"))
+    alphabet = change.get("input_alphabet", ("a",))
+    spec = TwoWayQfaSpec(
+        states=states,
+        input_alphabet=alphabet,
+        initial_state=states[0],
+        accept_states=frozenset(),
+        reject_states=frozenset({states[1]}),
+        symbol_unitaries={s: np.eye(2) for s in ("#", *alphabet, "$")},
+        head_fn={state: 0 for state in states},
+        name=change.get("name", ""),
+    )
+    with pytest.raises(SpecFormatError, match=message):
+        dumps_spec(spec)
 
 
 def test_row_with_unknown_state_is_rejected():
